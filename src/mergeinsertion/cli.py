@@ -101,7 +101,8 @@ def cmd_exact(args) -> int:
     for n in ns:
         value = exact_analysis.exact_F(n, strategy)
         scaled = value * math.factorial(n)
-        assert scaled.denominator == 1
+        if scaled.denominator != 1:
+            raise ValueError(f"F({n}) * {n}! = {scaled} is not an integer")
         normalized = (float(value) - n * math.log2(n)) / n
         rows.append([n, scaled.numerator, float(value), normalized])
     table = Table(["n", "avg_times_factorial", "avg", "normalized"], rows)
@@ -164,12 +165,13 @@ def cmd_sweep_factor(args) -> int:
 
 def cmd_compare_algos(args) -> int:
     _note_seed(args)
+    factor = Fraction(args.factor)
     table = harness.compare_algorithms(
         _parse_ns(args),
         trials=args.trials,
         seed=args.seed,
         strategy=_strategy(args),
-        variant_factor=Fraction(args.factor) if args.factor != "1" else Fraction("1.03"),
+        variant_factor=factor if factor != 1 else Fraction("1.03"),
     )
     _emit(table, args)
     return 0

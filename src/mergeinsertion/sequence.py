@@ -1,57 +1,51 @@
-"""Positional sequence backed by a chunked order-statistics tree.
+"""Positional sequence backed by a flat list of blocks.
 
 Items are addressed purely by zero-based position; the container never
-compares items. Internal nodes carry subtree sizes, leaves hold small
-arrays, and the whole tree is rebuilt perfectly balanced whenever a leaf
-split would push the depth past roughly twice the optimum. Lookup and
-insertion therefore stay logarithmic (amortized for insertion).
+compares items. The items live in a list of blocks (plain lists), and
+``_starts[i]`` is the position of block i's first item. A lookup is one
+bisection of ``_starts`` and two subscripts; an insertion is one in-block
+``list.insert`` plus a bump of every later start, and a block is split in
+half once it outgrows a bound that grows like the square root of the
+size. No block is empty unless the whole sequence is.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
+from itertools import chain
+from math import isqrt
 from typing import Any
 
-_LEAF_MAX = 256    # a leaf splits in half once it grows past this
-_LEAF_BUILD = 128  # leaf fill used when (re)building the tree
 
-# Nodes are plain lists to keep descents cheap:
-#   internal: [size, left, right]
-#   leaf:     [size, items, None]
-
-
-def _build(chunks: list[list], lo: int, hi: int) -> list:
-    if hi - lo == 0:
-        return [0, [], None]
-    if hi - lo == 1:
-        chunk = chunks[lo]
-        return [len(chunk), chunk, None]
-    mid = (lo + hi) // 2
-    left = _build(chunks, lo, mid)
-    right = _build(chunks, mid, hi)
-    return [left[0] + right[0], left, right]
+def _block_bound(size: int) -> int:
+    """Largest block length allowed once the sequence holds ``size`` items."""
+    # an insertion bumps the start of every later block (a Python loop)
+    # and moves part of one block (a memmove), so blocks of ~16 sqrt(size)
+    # items keep the two costs balanced
+    return max(512, isqrt(size) << 4)
 
 
 class PosSequence:
     """Ordered container with indexed insert, lookup and iteration."""
 
-    __slots__ = ("_root", "_size", "_leaves")
+    __slots__ = ("_blocks", "_starts", "_size")
 
     def __init__(self) -> None:
-        self._root: list = [0, [], None]
+        self._blocks: list[list] = [[]]
+        self._starts: list[int] = [0]
         self._size = 0
-        self._leaves = 1
 
     @classmethod
     def from_items(cls, items: Iterable[Any]) -> "PosSequence":
-        """Build a balanced sequence holding ``items`` in iteration order."""
+        """Build a sequence holding ``items`` in iteration order, its blocks half full."""
         seq = cls()
         data = list(items)
         if data:
-            chunks = [data[i:i + _LEAF_BUILD] for i in range(0, len(data), _LEAF_BUILD)]
-            seq._root = _build(chunks, 0, len(chunks))
+            step = _block_bound(len(data)) >> 1
+            seq._blocks = [data[i:i + step] for i in range(0, len(data), step)]
+            seq._starts = list(range(0, len(data), step))
             seq._size = len(data)
-            seq._leaves = len(chunks)
         return seq
 
     def __len__(self) -> int:
@@ -61,15 +55,8 @@ class PosSequence:
         """Item at ``pos``; raises IndexError outside [0, len)."""
         if not 0 <= pos < self._size:
             raise IndexError(f"position {pos} out of range for length {self._size}")
-        node = self._root
-        while node[2] is not None:
-            left = node[1]
-            if pos < left[0]:
-                node = left
-            else:
-                pos -= left[0]
-                node = node[2]
-        return node[1][pos]
+        i = bisect_right(self._starts, pos) - 1
+        return self._blocks[i][pos - self._starts[i]]
 
     __getitem__ = get
 
@@ -81,71 +68,21 @@ class PosSequence:
         """
         if not 0 <= pos <= self._size:
             raise IndexError(f"insert position {pos} out of range for length {self._size}")
+        starts = self._starts
+        i = bisect_right(starts, pos) - 1
+        block = self._blocks[i]
+        block.insert(pos - starts[i], item)
         self._size += 1
-        node = self._root
-        depth = 0
-        while node[2] is not None:
-            node[0] += 1
-            left = node[1]
-            if pos < left[0]:
-                node = left
-            else:
-                pos -= left[0]
-                node = node[2]
-            depth += 1
-        node[0] += 1
-        items = node[1]
-        items.insert(pos, item)
-        if len(items) > _LEAF_MAX:
-            mid = len(items) // 2
-            node[1] = [mid, items[:mid], None]
-            node[2] = [len(items) - mid, items[mid:], None]
-            self._leaves += 1
-            if depth + 1 > self._depth_limit():
-                self._rebuild()
-
-    def _depth_limit(self) -> int:
-        # splits only ever deepen the tree, so enforcing the bound here
-        # keeps every leaf within ~2x the optimal depth at all times
-        return 2 * max(self._leaves, 2).bit_length() + 2
-
-    def depth(self) -> int:
-        """Maximum leaf depth (number of internal nodes above it)."""
-        best = 0
-        stack = [(self._root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node[2] is None:
-                if d > best:
-                    best = d
-            else:
-                stack.append((node[1], d + 1))
-                stack.append((node[2], d + 1))
-        return best
-
-    def _rebuild(self) -> None:
-        chunks: list[list] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node[2] is None:
-                if node[1]:
-                    chunks.append(node[1])
-            else:
-                stack.append(node[2])
-                stack.append(node[1])
-        self._root = _build(chunks, 0, len(chunks))
-        self._leaves = max(len(chunks), 1)
+        for j in range(i + 1, len(starts)):
+            starts[j] += 1
+        if len(block) > _block_bound(self._size):
+            mid = len(block) >> 1
+            self._blocks.insert(i + 1, block[mid:])
+            del block[mid:]
+            starts.insert(i + 1, starts[i] + mid)
 
     def __iter__(self) -> Iterator[Any]:
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node[2] is None:
-                yield from node[1]
-            else:
-                stack.append(node[2])
-                stack.append(node[1])
+        return chain.from_iterable(self._blocks)
 
     def to_list(self) -> list:
         return list(self)

@@ -12,7 +12,10 @@ favourable size and hands the remainder to that insertion.
 
 Keys are opaque; the only way the algorithms learn about them is a
 strict-total-order ``less`` callback, and every call to it is counted
-exactly once.
+exactly once. The recursion moves the keys themselves: each larger key
+finds its smaller partner again by object identity, so keys must be
+distinct objects (and, when hashable, distinct values). The main chain
+is a PosSequence, addressed by position only.
 """
 
 from __future__ import annotations
@@ -86,11 +89,12 @@ class SortOutcome:
 
 def _require_distinct(items: list) -> None:
     # hash-based so no uncounted key comparisons happen; unhashable keys
-    # are accepted on the caller's word
+    # are taken as distinct on the caller's word, but must at least be
+    # distinct objects, because the sorter tells partners apart by id()
     try:
         unique = len(set(items))
     except TypeError:
-        return
+        unique = len({id(x) for x in items})
     if unique != len(items):
         raise ValueError("keys must be pairwise distinct")
 
@@ -135,7 +139,7 @@ class _Fenwick:
         return pos + 1
 
 
-def _merge_insertion_order(
+def _merge_insertion_sort(
     keys: list,
     strategy: Strategy,
     schedule: Schedule,
@@ -143,42 +147,37 @@ def _merge_insertion_order(
     tally: Tally,
     records: list | None,
     depth: int,
-) -> list[int]:
-    """Indices of ``keys`` in ascending key order."""
+) -> list:
+    """``keys`` in ascending order."""
     n = len(keys)
     if n < 2:
-        return list(range(n))
+        return list(keys)
     half = n // 2
 
-    # pairing phase: one comparison per pair
-    a_idx: list[int] = []
-    b_idx: list[int] = []
+    # pairing phase: one comparison per pair; partners are found by the
+    # identity of the larger key, which _require_distinct makes unique
+    larger: list = []
+    partner: dict[int, object] = {}
     for i in range(half):
         x = keys[i]
         y = keys[i + half]
         tally.count += 1
         if less(x, y):
-            a_idx.append(i + half)
-            b_idx.append(i)
+            larger.append(y)
+            partner[id(y)] = x
         else:
-            a_idx.append(i)
-            b_idx.append(i + half)
+            larger.append(x)
+            partner[id(x)] = y
 
-    # recursion on the larger elements; the returned order renames the
+    # recursion on the larger elements; their sorted order renames the
     # smaller partners without any extra comparisons
-    sub = _merge_insertion_order(
-        [keys[j] for j in a_idx], strategy, schedule, less, tally, records, depth + 1
-    )
-    a_ord = [a_idx[p] for p in sub]
-    b_ord = [b_idx[p] for p in sub]
+    a_sorted = _merge_insertion_sort(larger, strategy, schedule, less, tally, records, depth + 1)
+    b_ord = [partner[id(a)] for a in a_sorted]
     if n % 2:
-        b_ord.append(n - 1)  # odd leftover acts as the final small element
+        b_ord.append(keys[-1])  # odd leftover acts as the final small element
 
     m_total = len(b_ord)  # ceil(n / 2)
-    chain = PosSequence.from_items([b_ord[0]] + a_ord)
-
-    def chain_less(u, v, _keys=keys, _less=less):
-        return _less(_keys[u], _keys[v])
+    chain = PosSequence.from_items([b_ord[0]] + a_sorted)
 
     for k, lo, hi in schedule.batches(m_total):
         t_prev = lo - 1
@@ -194,7 +193,7 @@ def _merge_insertion_order(
                 limit = len(chain)  # unpaired element searches the whole chain
             item = b_ord[j - 1]
             before = tally.count
-            pos = binary_insert(item, chain, 0, limit, strategy, tally, less=chain_less)
+            pos = binary_insert(item, chain, 0, limit, strategy, tally, less=less)
             chain.insert(pos, item)
             if records is not None:
                 records.append((depth, k, limit, tally.count - before))
@@ -218,8 +217,8 @@ def merge_insertion(
     _require_distinct(data)
     tally = Tally()
     records: list | None = [] if collect_insertions else None
-    order = _merge_insertion_order(data, strategy, schedule, less, tally, records, 0)
-    return SortOutcome([data[i] for i in order], tally.count, records)
+    ordered = _merge_insertion_sort(data, strategy, schedule, less, tally, records, 0)
+    return SortOutcome(ordered, tally.count, records)
 
 
 def _t_ins_avg_exact(m: int) -> Fraction:

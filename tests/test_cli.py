@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
 
+from mergeinsertion import exact_analysis
 from mergeinsertion.cli import main
 
 
@@ -105,6 +107,16 @@ def test_compare_algos_cli(capsys):
     assert out.splitlines()[0] == "num_elements\tmi\tcombined\tcombined-f1.03"
 
 
+def test_compare_algos_factor_one_spellings_agree(capsys):
+    outputs = []
+    for factor in ("1", "1.0"):
+        code, out, _err = run_cli(capsys, "compare-algos", "--n", "21", "--trials", "5", "--factor", factor)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[0].endswith("combined-f1.03")
+
+
 def test_bad_config_exit_code(capsys):
     code, _out, err = run_cli(capsys, "count", "--n", "8", "--factor", "3")
     assert code == 2
@@ -115,6 +127,14 @@ def test_missing_sizes_exit_code(capsys):
     code, _out, err = run_cli(capsys, "count")
     assert code == 2
     assert "no input sizes" in err
+
+
+def test_exact_rejects_non_integral_scaled_average(monkeypatch, capsys):
+    monkeypatch.setattr(exact_analysis, "exact_F", lambda n, strategy=None: Fraction(1, 7))
+    code, out, err = run_cli(capsys, "exact", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,11 +1,12 @@
-import math
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergeinsertion import PosSequence
+from mergeinsertion.sequence import _block_bound
 
 
 def test_empty_base_case():
@@ -57,24 +58,51 @@ def test_random_trace_matches_list_oracle():
     assert seq.to_list() == oracle
 
 
-def test_depth_stays_logarithmic():
+def assert_block_invariants(seq):
+    blocks, starts = seq._blocks, seq._starts
+    assert sum(map(len, blocks)) == len(seq)
+    if len(seq):
+        assert all(blocks), "empty block in a non-empty sequence"
+    bound = _block_bound(len(seq))
+    assert max(map(len, blocks)) <= bound
+    assert starts == list(accumulate(map(len, blocks[:-1]), initial=0))
+
+
+def test_blocks_bounded_under_random_inserts():
     rng = random.Random(7)
     seq = PosSequence()
-    worst_ratio = 0.0
     for step in range(100_000):
         seq.insert(rng.randint(0, len(seq)), step)
-        if step > 4096 and step % 4096 == 0:
-            worst_ratio = max(worst_ratio, seq.depth() / math.log2(len(seq)))
-    assert seq.depth() <= 2 * math.log2(len(seq)) + 4
-    assert worst_ratio <= 2.5
+        if step % 4096 == 0:
+            assert_block_invariants(seq)
+    assert_block_invariants(seq)
 
 
-def test_depth_bounded_under_adversarial_front_inserts():
+def test_blocks_bounded_under_adversarial_front_inserts():
     seq = PosSequence()
     for step in range(50_000):
         seq.insert(0, step)
     assert seq.to_list()[:3] == [49_999, 49_998, 49_997]
-    assert seq.depth() <= 2 * math.log2(len(seq)) + 4
+    assert_block_invariants(seq)
+
+
+@pytest.mark.parametrize("size", [0, 1, _block_bound(0) - 1, _block_bound(0), _block_bound(0) + 1])
+def test_block_boundaries_match_list_oracle(size):
+    seq = PosSequence.from_items(range(size))
+    oracle = list(range(size))
+    assert_block_invariants(seq)
+    step = size
+    for _ in range(3):
+        # the two ends, then exactly every block start, then enough at the
+        # last block start to force that block to split
+        positions = [0, len(seq)] + list(seq._starts) + [seq._starts[-1]] * _block_bound(0)
+        for pos in positions:
+            seq.insert(pos, step)
+            oracle.insert(pos, step)
+            step += 1
+        assert_block_invariants(seq)
+    assert seq.to_list() == oracle
+    assert [seq.get(i) for i in range(len(oracle))] == oracle
 
 
 @settings(max_examples=200, deadline=None)

@@ -68,6 +68,16 @@ def test_duplicate_keys_rejected():
         combined_sort([3, 3])
 
 
+def test_unhashable_keys_must_be_distinct_objects():
+    a, b = [1], [2]
+    with pytest.raises(ValueError):
+        merge_insertion([a, b, a])
+    with pytest.raises(ValueError):
+        one_two_insertion([a], [b, a])
+    outcome = merge_insertion([[2], [1], [3]], less=lambda x, y: x[0] < y[0])
+    assert outcome.items == [[1], [2], [3]]
+
+
 def test_n5_distribution():
     counts = [merge_insertion(list(p)).comparisons for p in permutations(range(5))]
     assert Fraction(sum(counts), len(counts)) == Fraction(832, 120)
