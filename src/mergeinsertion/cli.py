@@ -95,7 +95,9 @@ def cmd_count(args) -> int:
 def cmd_exact(args) -> int:
     import math
 
-    ns = range(1, args.n_max + 1) if args.n_max else _parse_ns(args)
+    if args.n_max is not None and args.n_max < 1:
+        raise ValueError("--n-max must be at least 1")
+    ns = range(1, args.n_max + 1) if args.n_max is not None else _parse_ns(args)
     strategy = _strategy(args)
     rows = []
     for n in ns:
@@ -112,6 +114,8 @@ def cmd_exact(args) -> int:
 
 def cmd_dist(args) -> int:
     k = args.k
+    if k < 2:
+        raise ValueError("batch index --k must be at least 2")
     width = probability.batch_width(k)
     if args.var == "mean":
         rows = [[i, float(probability.mean_Y(k, i))] for i in range(1, width + 1)]

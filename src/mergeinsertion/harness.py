@@ -54,8 +54,7 @@ class ExperimentConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         Schedule(self.factor)  # validates the factor range
-        if self.trials is not None and self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        _check_trials(self.trials)
         if self.exhaustive and any(n > _EXHAUSTIVE_MAX for n in self.ns):
             raise ValueError(f"exhaustive mode enumerates n! permutations; limited to n <= {_EXHAUSTIVE_MAX}")
 
@@ -74,6 +73,11 @@ class TrialStats:
 def default_trials(n: int) -> int:
     """Trial schedule 10..10000, shrinking with n (10^7 / n in between)."""
     return max(10, min(10000, 10_000_000 // n))
+
+
+def _check_trials(trials: int | None) -> None:
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be at least 1")
 
 
 def normalized_mean(mean: float, n: int) -> float:
@@ -162,6 +166,7 @@ def sweep_factor(
 ) -> Table:
     """Normalized means of the batched sort under stretched schedules,
     one column per factor; every factor sees the same permutations."""
+    _check_trials(trials)
     factor_pairs = [(Fraction(f), _factor_label(f)) for f in factors]
     header = ["num_elements"] + [label for _, label in factor_pairs]
     counters = [_count_fn("mi", strategy, f) for f, _ in factor_pairs]
@@ -189,6 +194,7 @@ def compare_algorithms(
     """Normalized means of the batched sort, the combined algorithm, and
     the combined algorithm under the stretched schedule, on shared
     permutations."""
+    _check_trials(trials)
     label = f"combined-f{_factor_label(variant_factor)}"
     counters = [
         _count_fn("mi", strategy, Fraction(1)),

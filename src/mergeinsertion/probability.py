@@ -130,15 +130,21 @@ def p_Y_recurrence(k: int, i: int, q: int, j: int) -> Fraction:
 
 
 def mean_Y(k: int, i: int) -> Fraction:
-    """Expected number of elements b_(t(k-1)+i) is inserted into."""
+    """Expected number of elements b_(t(k-1)+i) is inserted into.
+
+    Y is 2 t(k-1) + i - 1 plus the ``p_Y_recurrence`` count at
+    q = t(k) - t(k-1) - i, and taking the mean of that recurrence gives
+    the count's mean E_q directly: E_0 = 0 and
+    E_q = (2T + (2T + 2q) E_(q-1)) / (2T + 2q - 1) with T = t(k-1) + i.
+    E_q is carried as num / den and reduced once.
+    """
     _check_member(k, i)
     t = batch_bound(k - 1)
-    lo = 2 * t + i - 1
-    hi = (1 << k) - 1
-    total = _ZERO
-    for j in range(lo, hi + 1):
-        total += j * p_Y(k, i, j)
-    return total
+    T = t + i
+    num, den = 0, 1
+    for q in range(1, batch_width(k) - i + 1):
+        num, den = 2 * T * den + (2 * T + 2 * q) * num, (2 * T + 2 * q - 1) * den
+    return 2 * t + i - 1 + Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -182,12 +188,14 @@ class DistTable:
 
 
 def distribution_X(k: int, i: int) -> DistTable:
+    _check_member(k, i)
     support = range(0, 1 << k)
     mass = {j: p_X(k, i, j) for j in support}
     return DistTable("X", k, i, None, support, mass)
 
 
 def distribution_Y(k: int, i: int) -> DistTable:
+    _check_member(k, i)
     t = batch_bound(k - 1)
     support = range(2 * t + i - 1, 1 << k)
     mass = {j: p_Y(k, i, j) for j in support}
@@ -195,6 +203,7 @@ def distribution_Y(k: int, i: int) -> DistTable:
 
 
 def distribution_Y_tilde(k: int, i: int, q: int) -> DistTable:
+    _check_member(k, i)
     support = range(0, q + 1)
     mass = {j: p_Y_recurrence(k, i, q, j) for j in support}
     return DistTable("Ytilde", k, i, q, support, mass)

@@ -1,10 +1,12 @@
-"""The names the benchmark wraps from outside must keep existing.
+"""The names and caches the benchmark reads from outside must keep their meaning.
 
 ``perfbench/workloads.py`` traces the package by replacing functions and
 methods by name (its ``COARSE`` and ``HOT`` tables, plus
 ``sorter.merge_insertion``) and reads a few caches after a run. A rename
 in the package would only surface as a crash of the traced benchmark
-run; these tests catch it in the ordinary suite instead.
+run; these tests catch it in the ordinary suite instead. Its
+``exact_analysis.states`` metric is ``len(_COST_CACHE)``, so that cache
+must hold exactly one entry per collapsed-tree state.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from mergeinsertion import PosSequence, merge_insertion
+from mergeinsertion import InsertionState, PosSequence, cost_insert, exact_analysis, merge_insertion
+from mergeinsertion.sorter import batch_bound
+from mergeinsertion.strategies import decision_depths
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -59,3 +63,53 @@ def test_probes_go_through_chain_get(monkeypatch):
     monkeypatch.setattr(PosSequence, "get", get)
     outcome = merge_insertion(range(500, 0, -1), collect_insertions=True)
     assert calls == sum(rec[3] for rec in outcome.insertions) > 0
+
+
+def _root_states(n: int) -> set[tuple[int, ...]]:
+    """The batch states exact_F(n) evaluates, from the halving recurrence."""
+    roots = set()
+    while n > 1:
+        m = (n + 1) // 2
+        k = 2
+        while batch_bound(k - 1) < m:
+            start, end = batch_bound(k - 1), min(batch_bound(k), m)
+            roots.add((2 * start,) + (0,) * (end - start - 1))
+            k += 1
+        n //= 2
+    return roots
+
+
+def _reachable_states(roots) -> set[tuple[int, ...]]:
+    seen = set()
+    stack = list(roots)
+    while stack:
+        q = stack.pop()
+        if not q or q in seen:
+            continue
+        seen.add(q)
+        r = len(q)
+        stack.append(q[: r - 1])
+        stack.extend(q[:s] + (q[s] + 1,) + q[s + 1 : r - 1] for s in range(r - 1))
+    return seen
+
+
+def test_cost_cache_holds_one_entry_per_state():
+    saved = dict(exact_analysis._COST_CACHE)
+    exact_analysis._COST_CACHE.clear()
+    exact_analysis.exact_F.cache_clear()
+    try:
+        exact_analysis.exact_F(30)
+        assert len(exact_analysis._COST_CACHE) == len(_reachable_states(_root_states(30)))
+    finally:
+        exact_analysis.exact_F.cache_clear()
+        exact_analysis._COST_CACHE.clear()
+        exact_analysis._COST_CACHE.update(saved)
+
+
+def test_oversized_chain_rejected_before_any_work():
+    depths_before = decision_depths.cache_info().currsize
+    states_before = len(exact_analysis._COST_CACHE)
+    with pytest.raises(ValueError, match="65536 elements"):
+        cost_insert(InsertionState((65534, 0, 0)))
+    assert decision_depths.cache_info().currsize == depths_before
+    assert len(exact_analysis._COST_CACHE) == states_before

@@ -129,6 +129,26 @@ def test_missing_sizes_exit_code(capsys):
     assert "no input sizes" in err
 
 
+BAD_ARGUMENTS = {
+    "sweep-zero-trials": (("sweep-factor", "--n", "10", "--trials", "0"), "trials must be at least 1"),
+    "compare-negative-trials": (("compare-algos", "--n", "10", "--trials", "-1"), "trials must be at least 1"),
+    "dist-mean-k1": (("dist", "--k", "1", "--var", "mean"), "--k must be at least 2"),
+    "dist-y-k0": (("dist", "--k", "0", "--var", "y"), "--k must be at least 2"),
+    "exact-negative-n-max": (("exact", "--n-max", "-3"), "--n-max must be at least 1"),
+    "exact-zero-n-max": (("exact", "--n-max", "0"), "--n-max must be at least 1"),
+    "dist-y-member-too-large": (("dist", "--k", "2", "--var", "y", "--i", "5"), "member index i=5"),
+    "dist-x-member-zero": (("dist", "--k", "3", "--var", "x", "--i", "0"), "member index i=0"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_arguments_exit_with_named_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: " in err and message in err
+
+
 def test_exact_rejects_non_integral_scaled_average(monkeypatch, capsys):
     monkeypatch.setattr(exact_analysis, "exact_F", lambda n, strategy=None: Fraction(1, 7))
     code, out, err = run_cli(capsys, "exact", "--n", "3")

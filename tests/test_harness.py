@@ -109,6 +109,18 @@ def test_compare_algorithms_schema():
         assert row[1] == pytest.approx(row[2], abs=1e-12)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sweep_factor_rejects_bad_trials(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        sweep_factor((10,), ["1.0"], trials=trials)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_compare_algorithms_rejects_bad_trials(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        compare_algorithms((10,), trials=trials)
+
+
 def test_emit_tsv_round_trip(tmp_path):
     table = Table(["a", "b"], [[1, 0.25], [2, -1.4182918293018197]])
     path = tmp_path / "out.tsv"

@@ -125,6 +125,15 @@ def test_oracle_equivalence_small_batches():
             assert mean_Y(k, i) == oracle_mean_Y(outcomes, k, i)
 
 
+def test_mean_matches_sum_over_length_distribution():
+    # mean_Y runs the mean recurrence; its definition is sum_j j * p_Y
+    for k in range(2, 8):
+        t = batch_bound(k - 1)
+        for i in range(1, batch_width(k) + 1):
+            support = range(2 * t + i - 1, 1 << k)
+            assert mean_Y(k, i) == sum((j * p_Y(k, i, j) for j in support), Fraction(0))
+
+
 def test_mean_monotone_in_member():
     for k in (5, 7):
         means = [mean_Y(k, i) for i in range(1, batch_width(k) + 1)]
@@ -148,6 +157,16 @@ def test_dist_table_constructors():
     assert helper.q == 3
     assert helper.mean() == sum(j * helper[j] for j in range(4))
     assert helper[99] == 0
+
+
+def test_dist_tables_reject_bad_member():
+    for build in (distribution_X, distribution_Y, lambda k, i: distribution_Y_tilde(k, i, 1)):
+        with pytest.raises(ValueError, match="member index i=5"):
+            build(2, 5)
+        with pytest.raises(ValueError, match="member index i=0"):
+            build(3, 0)
+        with pytest.raises(ValueError, match="batch index"):
+            build(1, 1)
 
 
 def test_dist_table_rejects_bad_mass():
