@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .sorter import Schedule, batch_bound
+from .sorter import DEFAULT_SCHEDULE, _t_ins_avg_exact, batch_bound
 from .probability import p_Y, batch_width
 
 LOG2_3 = math.log2(3.0)
@@ -42,8 +42,7 @@ def t_ins_avg(m: int) -> float:
     gap probabilities: ceil(log m) + 1 - 2^ceil(log m) / m."""
     if m < 1:
         raise ValueError("need at least one gap")
-    k = (m - 1).bit_length()
-    return k + 1.0 - (1 << k) / m
+    return float(_t_ins_avg_exact(m))
 
 
 def t_ins(i: int, k: int) -> float:
@@ -57,12 +56,6 @@ def t_ins(i: int, k: int) -> float:
     for j in range(lo, hi + 1):
         total += float(p_Y(k, i, j)) * t_ins_avg(j + 1)
     return total
-
-
-def _t_ins_avg_vec(m: np.ndarray) -> np.ndarray:
-    mant, exp = np.frexp(m)
-    k = np.where(mant == 0.5, exp - 1, exp).astype(np.float64)
-    return k + 1.0 - np.exp2(k) / m
 
 
 def _y_tilde_row(T: int, q: int) -> np.ndarray:
@@ -88,22 +81,25 @@ def _batch_cost_bound(t_prev: int, top: int) -> float:
 
     Truncated batches are handled exactly: member i then has only
     top - t_prev - i elements inserted above it, which shortens the
-    helper distribution instead of reusing the full-batch one.
+    helper distribution instead of reusing the full-batch one. In a batch
+    of the plain schedule every gap count m lies in (2 t_prev, 2^k], with
+    k the bit length of 2 t_prev, so T_InsAvg(m) = k + 1 - 2^k / m there.
     """
+    k = (2 * t_prev).bit_length()
     total = 0.0
     for i in range(1, top - t_prev + 1):
         q = top - t_prev - i
         base = 2 * t_prev + i - 1
         probs = _y_tilde_row(t_prev + i, q)
         sizes = np.arange(base + 1, base + q + 2, dtype=np.float64)
-        total += float(probs @ _t_ins_avg_vec(sizes))
+        total += float(probs @ (k + 1.0 - np.exp2(k) / sizes))
     return total
 
 
 @lru_cache(maxsize=None)
 def _g_hat(m: int) -> float:
     total = 0.0
-    for _k, lo, hi in Schedule().batches(m):
+    for _k, lo, hi in DEFAULT_SCHEDULE.batches(m):
         total += _batch_cost_bound(lo - 1, hi)
     return total
 
@@ -124,11 +120,7 @@ def worst_case_W(n: int) -> float:
     with y the distance from log(3n/4) up to the next integer.
 
     The O(log n) correction is dropped (taken as 0)."""
-    if n < 1:
-        raise ValueError("need at least one element")
-    z = 3 * n
-    frac = math.log2(z) - (z.bit_length() - 1)  # in (0, 1): 3n is never a power of two
-    y = 1.0 - frac
+    y = 1.0 - frac_log2_3n(n)  # also rejects n < 1
     return n * math.log2(n) - (3.0 - LOG2_3) * n + n * (y + 1.0 - 2.0 ** y)
 
 

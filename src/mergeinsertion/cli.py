@@ -15,7 +15,6 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import exact_analysis, harness, probability
 from .harness import ExperimentConfig, Table, emit_tsv
-from .sorter import Schedule, combined_sort, merge_insertion, one_two_insertion
 from .strategies import Strategy
 
 
@@ -29,6 +28,8 @@ def _parse_ns(args) -> tuple[int, ...]:
         ns.extend(harness.log_spaced_ns(lo, hi, points))
     if not ns:
         raise ValueError("no input sizes given; use --n or --log-range")
+    if any(n < 1 for n in ns):
+        raise ValueError("input sizes must be at least 1")
     return tuple(dict.fromkeys(ns))  # dedupe, keep order
 
 
@@ -54,14 +55,7 @@ def cmd_sort(args) -> int:
         with open(args.input) as fh:
             text = fh.read()
     keys = [int(line) for line in text.split()]
-    schedule = Schedule(Fraction(args.factor))
-    strategy = _strategy(args)
-    if args.algorithm == "mi":
-        outcome = merge_insertion(keys, strategy, schedule)
-    elif args.algorithm == "one-two":
-        outcome = one_two_insertion([], keys, strategy)
-    else:
-        outcome = combined_sort(keys, strategy, schedule)
+    outcome = harness.sort_fn(args.algorithm, _strategy(args), Fraction(args.factor))(keys)
     payload = "".join(f"{key}\n" for key in outcome.items).encode()
     if args.out:
         with open(args.out, "wb") as fh:
@@ -105,8 +99,7 @@ def cmd_exact(args) -> int:
         scaled = value * math.factorial(n)
         if scaled.denominator != 1:
             raise ValueError(f"F({n}) * {n}! = {scaled} is not an integer")
-        normalized = (float(value) - n * math.log2(n)) / n
-        rows.append([n, scaled.numerator, float(value), normalized])
+        rows.append([n, scaled.numerator, float(value), harness.normalized_mean(float(value), n)])
     table = Table(["n", "avg_times_factorial", "avg", "normalized"], rows)
     _emit(table, args)
     return 0
@@ -137,21 +130,17 @@ def cmd_dist(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    import math
-
-    ns = _parse_ns(args)
-    rows = []
-    for n in ns:
-        nlogn = n * math.log2(n)
-        rows.append(
-            [
-                n,
-                (bounds_mod.lower_bound_log_factorial(n) - nlogn) / n,
-                (bounds_mod.numeric_upper_bound_F(n) - nlogn) / n,
-                -bounds_mod.c_of_x(bounds_mod.frac_log2_3n(n)),
-                (bounds_mod.worst_case_W(n) - nlogn) / n,
-            ]
-        )
+    normalized = harness.normalized_mean
+    rows = [
+        [
+            n,
+            normalized(bounds_mod.lower_bound_log_factorial(n), n),
+            normalized(bounds_mod.numeric_upper_bound_F(n), n),
+            -bounds_mod.c_of_x(bounds_mod.frac_log2_3n(n)),
+            normalized(bounds_mod.worst_case_W(n), n),
+        ]
+        for n in _parse_ns(args)
+    ]
     table = Table(["num_elements", "lower", "upper", "c_term", "worst_case"], rows)
     _emit(table, args)
     return 0

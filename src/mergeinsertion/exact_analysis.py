@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .sorter import batch_bound
+from .sorter import DEFAULT_SCHEDULE
 from .strategies import Strategy, decision_depths
 
 
@@ -164,13 +164,7 @@ def exact_G(n: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
     """Average comparisons of the whole insertion phase for n small elements."""
     if n < 1:
         raise ValueError("need at least one element")
-    total = Fraction(0)
-    k = 2
-    while batch_bound(k) < n:
-        total += cost(batch_bound(k - 1), batch_bound(k), strategy)
-        k += 1
-    total += cost(batch_bound(k - 1), n, strategy)
-    return total
+    return sum((cost(lo - 1, hi, strategy) for _k, lo, hi in DEFAULT_SCHEDULE.batches(n)), Fraction(0))
 
 
 @lru_cache(maxsize=None)

@@ -84,17 +84,41 @@ def normalized_mean(mean: float, n: int) -> float:
     return (mean - n * math.log2(n)) / n
 
 
-def _count_fn(algorithm: str, strategy: Strategy, factor: Fraction):
+def sort_fn(algorithm: str, strategy: Strategy, factor: Fraction):
+    """The sort named by ``algorithm`` (one of ALGORITHMS), as a callable
+    from keys to SortOutcome.
+
+    The sorts are looked up among this module's globals at call time, so
+    a wrapper installed on ``harness.merge_insertion`` sees every call.
+    """
     schedule = Schedule(factor)
     if algorithm == "mi":
-        return lambda perm: merge_insertion(perm, strategy, schedule).comparisons
+        return lambda keys: merge_insertion(keys, strategy, schedule)
     if algorithm == "one-two":
-        return lambda perm: one_two_insertion([], perm, strategy).comparisons
-    return lambda perm: combined_sort(perm, strategy, schedule).comparisons
+        return lambda keys: one_two_insertion([], keys, strategy)
+    return lambda keys: combined_sort(keys, strategy, schedule)
+
+
+def _count_fn(algorithm: str, strategy: Strategy, factor: Fraction):
+    sort = sort_fn(algorithm, strategy, factor)
+    return lambda perm: sort(perm).comparisons
 
 
 def _rng(seed: int, n: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, n))))
+
+
+def paired_counts(n: int, trials: int | None, seed: int, counters) -> list[list[int]]:
+    """One column of counts per counter, every counter seeing the same
+    seeded permutations of range(n) in the same order; ``trials`` None
+    means default_trials(n)."""
+    rng = _rng(seed, n)
+    columns: list[list[int]] = [[] for _ in counters]
+    for _ in range(trials if trials is not None else default_trials(n)):
+        perm = rng.permutation(n).tolist()
+        for column, count in zip(columns, counters):
+            column.append(count(perm))
+    return columns
 
 
 def _stats_from_counts(n: int, counts: list[int]) -> TrialStats:
@@ -136,9 +160,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialStats]:
         if cfg.exhaustive:
             counts = exhaustive_counts(n, cfg.algorithm, cfg.strategy, cfg.factor)
         else:
-            trials = cfg.trials if cfg.trials is not None else default_trials(n)
-            rng = _rng(cfg.seed, n)
-            counts = [count(rng.permutation(n).tolist()) for _ in range(trials)]
+            (counts,) = paired_counts(n, cfg.trials, cfg.seed, [count])
         results.append(_stats_from_counts(n, counts))
     return results
 
@@ -157,6 +179,17 @@ def _factor_label(factor) -> str:
     return repr(float(Fraction(factor)))
 
 
+def _paired_table(header: list[str], counters, ns, trials: int | None, seed: int) -> Table:
+    """Normalized mean count per counter (one column each) for every n,
+    all counters sorting the same permutations."""
+    _check_trials(trials)
+    rows = []
+    for n in ns:
+        columns = paired_counts(n, trials, seed, counters)
+        rows.append([n] + [normalized_mean(sum(column) / len(column), n) for column in columns])
+    return Table(header, rows)
+
+
 def sweep_factor(
     ns,
     factors,
@@ -166,22 +199,9 @@ def sweep_factor(
 ) -> Table:
     """Normalized means of the batched sort under stretched schedules,
     one column per factor; every factor sees the same permutations."""
-    _check_trials(trials)
-    factor_pairs = [(Fraction(f), _factor_label(f)) for f in factors]
-    header = ["num_elements"] + [label for _, label in factor_pairs]
-    counters = [_count_fn("mi", strategy, f) for f, _ in factor_pairs]
-    rows = []
-    for n in ns:
-        t = trials if trials is not None else default_trials(n)
-        sums = [0] * len(counters)
-        rng = _rng(seed, n)
-        for _ in range(t):
-            perm = rng.permutation(n).tolist()
-            for col, count in enumerate(counters):
-                sums[col] += count(perm)
-        row = [n] + [normalized_mean(s / t, n) for s in sums]
-        rows.append(row)
-    return Table(header, rows)
+    header = ["num_elements"] + [_factor_label(f) for f in factors]
+    counters = [_count_fn("mi", strategy, Fraction(f)) for f in factors]
+    return _paired_table(header, counters, ns, trials, seed)
 
 
 def compare_algorithms(
@@ -194,25 +214,13 @@ def compare_algorithms(
     """Normalized means of the batched sort, the combined algorithm, and
     the combined algorithm under the stretched schedule, on shared
     permutations."""
-    _check_trials(trials)
-    label = f"combined-f{_factor_label(variant_factor)}"
+    header = ["num_elements", "mi", "combined", f"combined-f{_factor_label(variant_factor)}"]
     counters = [
         _count_fn("mi", strategy, Fraction(1)),
         _count_fn("combined", strategy, Fraction(1)),
         _count_fn("combined", strategy, Fraction(variant_factor)),
     ]
-    header = ["num_elements", "mi", "combined", label]
-    rows = []
-    for n in ns:
-        t = trials if trials is not None else default_trials(n)
-        sums = [0] * len(counters)
-        rng = _rng(seed, n)
-        for _ in range(t):
-            perm = rng.permutation(n).tolist()
-            for col, count in enumerate(counters):
-                sums[col] += count(perm)
-        rows.append([n] + [normalized_mean(s / t, n) for s in sums])
-    return Table(header, rows)
+    return _paired_table(header, counters, ns, trials, seed)
 
 
 def _cell(value) -> str:

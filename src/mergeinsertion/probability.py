@@ -55,10 +55,7 @@ def p_X(k: int, i: int, j: int) -> Fraction:
     if not 0 <= j <= (1 << k) - 1:
         raise ValueError(f"gap index j={j} outside 0..{(1 << k) - 1} for batch {k}")
     t = batch_bound(k - 1)
-    if j <= 2 * t:
-        num = (1 << (2 * i - 2)) * factorial(t + i - 1) ** 2 * factorial(2 * t)
-        den = factorial(t) ** 2 * factorial(2 * t + 2 * i - 1)
-        return Fraction(num, den)
+    j = max(j, 2 * t)  # the mass is flat on gaps 0 .. 2 t(k-1)
     if j < 2 * t + i:
         exp = 4 * t - 2 * j + 2 * i - 2
         num = (1 << exp) * factorial(t + i - 1) ** 2 * factorial(2 * j - 2 * t)
@@ -81,9 +78,7 @@ def p_Y(k: int, i: int, j: int) -> Fraction:
     hi = (1 << k) - 1
     if not lo <= j <= hi:
         return _ZERO
-    num = (1 << (j - lo)) * factorial(2 * tk - i - j - 1) * factorial(i + j) * factorial(tk - 1)
-    den = factorial(j - lo) * factorial(hi - j) * factorial(2 * tk - 1) * factorial(t + i - 1)
-    return Fraction(num, den)
+    return _y_tilde_closed(t + i, tk - t - i, j - lo)
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +95,8 @@ def _y_tilde(T: int, q: int, j: int) -> Fraction:
 
 
 def _y_tilde_closed(T: int, q: int, j: int) -> Fraction:
-    """Closed form of the recurrence; kept separate as a cross-check."""
+    """Closed form of the ``_y_tilde`` recurrence, and the formula behind
+    ``p_Y``; the recurrence stays as its cross-check."""
     if j < 0 or j > q:
         return _ZERO
     num = factorial(2 * q - j) * (1 << j) * factorial(2 * T + j - 1) * factorial(T + q - 1)
@@ -190,7 +186,9 @@ class DistTable:
 def distribution_X(k: int, i: int) -> DistTable:
     _check_member(k, i)
     support = range(0, 1 << k)
-    mass = {j: p_X(k, i, j) for j in support}
+    flat = 2 * batch_bound(k - 1)  # p_X does not depend on j up to here
+    mass = dict.fromkeys(range(flat + 1), p_X(k, i, flat))
+    mass.update((j, p_X(k, i, j)) for j in range(flat + 1, 1 << k))
     return DistTable("X", k, i, None, support, mass)
 
 

@@ -88,6 +88,7 @@ def binary_insert(
     get = chain.get
     count = 0
     while n > 0:
+        # pivot_index's rule, inlined: a call per probe cost +44% wall time sorting 2^17 keys
         full = 1 << (n.bit_length() - 1)
         if strategy is Strategy.LEFT:
             c = n - full + 1

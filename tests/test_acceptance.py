@@ -28,7 +28,7 @@ from mergeinsertion import (
     p_Y,
 )
 from mergeinsertion.bounds import _binomial_approx_p_exact
-from mergeinsertion.harness import _rng
+from mergeinsertion.harness import paired_counts
 from mergeinsertion.probability import _y_tilde, _y_tilde_closed, batch_width, distribution_Y
 from mergeinsertion.sorter import batch_bound, combined_prefix_size
 from oracles import batch_outcomes, brute_cost, initial_segments, oracle_mean_Y, oracle_p_X, oracle_p_Y
@@ -50,17 +50,6 @@ TABLE_AVG_TIMES_FACTORIAL = {
     14: 3199119114240,
     15: 53153472153600,
 }
-
-
-def _paired_counts(n, trials, seed, runners):
-    """Counts for several sorters on the same permutation stream."""
-    rng = _rng(seed, n)
-    columns = [[] for _ in runners]
-    for _ in range(trials):
-        perm = rng.permutation(n).tolist()
-        for column, run in zip(columns, runners):
-            column.append(run(perm))
-    return columns
 
 
 def _mean_diff_z(a, b):
@@ -190,8 +179,7 @@ def test_c08_monte_carlo_agreement():
         counts = [merge_insertion(list(p)).comparisons for p in permutations(range(n))]
         assert Fraction(sum(counts), len(counts)) == exact_F(n), n
     n, trials = 15, 100_000
-    rng = _rng(2024, n)
-    counts = [merge_insertion(rng.permutation(n).tolist()).comparisons for _ in range(trials)]
+    (counts,) = paired_counts(n, trials, 2024, [lambda p: merge_insertion(p).comparisons])
     mean = statistics.fmean(counts)
     se = statistics.stdev(counts) / math.sqrt(trials)
     exact = float(exact_F(15))
@@ -205,7 +193,7 @@ def test_c08_monte_carlo_agreement():
 def test_c09_left_beats_right():
     trials = 1000
     for n in (1 << 10, 1 << 11, 1 << 12):
-        left, right = _paired_counts(
+        left, right = paired_counts(
             n,
             trials,
             101,
@@ -222,7 +210,7 @@ def test_c09_left_beats_right():
 
 def test_c10_factor_improvement():
     n, trials = 21845, 200
-    plain, stretched = _paired_counts(
+    plain, stretched = paired_counts(
         n,
         trials,
         103,
@@ -240,7 +228,7 @@ def test_c10_factor_improvement():
 def test_c11_combined_algorithm():
     n_switch = combined_prefix_size(10922)
     assert n_switch == 10922
-    mi, comb = _paired_counts(
+    mi, comb = paired_counts(
         10922,
         40,
         107,
@@ -251,7 +239,7 @@ def test_c11_combined_algorithm():
     )
     assert mi == comb  # at a switch point the combined algorithm is the batched sort
     mid = (10922 + 21845) // 2
-    mi_mid, comb_mid = _paired_counts(
+    mi_mid, comb_mid = paired_counts(
         mid,
         80,
         109,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from mergeinsertion import InsertionState, PosSequence, cost_insert, exact_analysis, merge_insertion
+from mergeinsertion import InsertionState, PosSequence, Strategy, cost_insert, exact_analysis, harness, merge_insertion
 from mergeinsertion.sorter import batch_bound
 from mergeinsertion.strategies import decision_depths
 
@@ -47,6 +47,30 @@ def test_traced_names_exist(workloads):
     ]
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in hooks if not hasattr(owner, attr)]
     assert not missing, f"benchmark hooks missing from the package: {missing}"
+
+
+def test_sorts_reached_through_harness_globals(monkeypatch):
+    # the experiment workload checks every sort by wrapping these two
+    # harness globals, so the harness must look them up at call time
+    calls = {"merge_insertion": 0, "combined_sort": 0}
+
+    def recording(name):
+        orig = getattr(harness, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, recording(name))
+    harness.compare_algorithms([50], trials=2)
+    assert calls == {"merge_insertion": 2, "combined_sort": 4}
+    for algorithm in ("mi", "combined"):
+        outcome = harness.sort_fn(algorithm, Strategy.LEFT, 1)(list(range(50, 0, -1)))
+        assert outcome.items == list(range(1, 51))
+    assert calls == {"merge_insertion": 3, "combined_sort": 5}
 
 
 def test_probes_go_through_chain_get(monkeypatch):

@@ -138,6 +138,10 @@ BAD_ARGUMENTS = {
     "exact-zero-n-max": (("exact", "--n-max", "0"), "--n-max must be at least 1"),
     "dist-y-member-too-large": (("dist", "--k", "2", "--var", "y", "--i", "5"), "member index i=5"),
     "dist-x-member-zero": (("dist", "--k", "3", "--var", "x", "--i", "0"), "member index i=0"),
+    "bound-zero-n": (("bound", "--n", "0"), "input sizes must be at least 1"),
+    "bound-negative-n": (("bound", "--n", "-5"), "input sizes must be at least 1"),
+    "sweep-zero-n": (("sweep-factor", "--n", "0", "--trials", "1"), "input sizes must be at least 1"),
+    "compare-zero-n": (("compare-algos", "--n", "0", "--trials", "1"), "input sizes must be at least 1"),
 }
 
 
