@@ -1,22 +1,46 @@
-"""Exact average comparison counts via decision-tree path lengths.
+"""Exact average comparison counts, by linearity of expectation.
 
-The average cost over all input permutations equals the external path
-length of the comparison tree divided by its number of leaves. The tree
-for one insertion batch is evaluated exactly by tracking, per pending
+The average cost over all input permutations equals the average over
+the uniformly random final arrangements of the batch, and each member's
+comparisons are a fixed function of that arrangement:
+``decision_depths(Y)[pos]``, where Y is the number of chain elements it
+is inserted into and pos its gap among them. So a batch's average cost
+is the sum of its members' expected costs (``cost``).
+
+For batch (s, e) and member b_i (s < i <= e), the chain below a_i holds
+L = s + i - 1 old elements (the 2s settled ones and a_(s+1) .. a_(i-1))
+and the Z higher members b_j (j > i) that landed below a_i; b_i lands at
+pos = C + W, with C its gap among the old elements and W the higher
+members below it. A uniform arrangement comes from placing b_(s+1), ..,
+b_e in increasing order, each into one of the 2j - 1 gaps below a_j,
+which splits the joint law of (Z, C, W) into three exact parts:
+
+* the lower members fix the law of (C, X), X being the lower members
+  below b_i, so R = C + X is b_i's rank below a_i (``_rank_law``);
+* Z follows the Ỹ law ``probability._y_tilde_closed(i, e - i, z)`` and
+  does not depend on (C, X);
+* given Z = z, each higher member lands below b_i with probability
+  (rank + 1) / (gaps below a_i), a Pólya urn run one member at a time
+  (``_position_law``).
+
+The expected cost of b_i given Z = z does not depend on e, so truncated
+batches share it (``_member_cost``). Everything is integers over common
+denominators until one ``Fraction`` per member and z.
+
+The collapsed decision tree stays as ``cost_insert``: the exact path
+length and leaf count of inserting any pending state, which the tests
+use as the reference for the member sum. It tracks, per pending
 element, only the number of settled elements in each partner gap:
 branches that agree on those counts behave identically from then on and
-are collapsed, with leaf multiplicities carried along. Path lengths and
-leaf counts stay integers throughout; division happens once at the end,
-so every value here is an exact rational.
-
-Each collapsed state is memoized under one packed integer key: 16-bit
-fields holding the strategy's code and then the gap counts, with a set
-bit above the last field marking the length. A child state's key is
-its parent's key with the top field cleared and the length bit moved
-down one field, plus one in the bumped field, so the recursion looks
-every child up in the memo before it recurses and builds a child tuple
-only on a miss. Chains of 2^16 or more elements do not fit the fields
-and are rejected up front.
+are collapsed, with leaf multiplicities carried along. Each collapsed
+state is memoized under one packed integer key: 16-bit fields holding
+the strategy's code and then the gap counts, with a set bit above the
+last field marking the length. A child state's key is its parent's key
+with the top field cleared and the length bit moved down one field, plus
+one in the bumped field, so the recursion looks every child up in the
+memo before it recurses and builds a child tuple only on a miss. Chains
+of 2^16 or more elements do not fit the fields and are rejected up
+front.
 
 The per-sort average F(n) follows the halving recurrence
 F(n) = floor(n/2) + F(floor(n/2)) + G(ceil(n/2)), where G(m) sums the
@@ -30,7 +54,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
+from .probability import _y_tilde_closed
 from .sorter import DEFAULT_SCHEDULE
 from .strategies import Strategy, decision_depths
 
@@ -143,9 +169,100 @@ def cost_insert(state: InsertionState, strategy: Strategy = Strategy.LEFT) -> Pa
     return PathCount(path, leaves)
 
 
+def _rank_law(s: int, i: int) -> tuple[list[list[int]], int]:
+    """Joint law of (C, X) for member b_i of a batch starting after s.
+
+    Returns ``(columns, den)`` with ``columns[x][c] = den * P(C = c, X = x)``.
+    N_c, the lower members below the c-th old element, starts at 0 with c
+    gaps below that element; b_j lands below it with probability
+    (c + N) / (2j - 1), or surely once a_j is not above it (s + j <= c).
+    With N_0 = 0 and N_(L+1) = i - s - 1, b_i's uniform rank among the
+    2i - 1 gaps below a_i gives
+    P(C = c, X = x) = [P(N_c <= x) - P(N_(c+1) <= x - 1)] / (2i - 1).
+    """
+    old = s + i - 1
+    lower = i - s - 1
+    den = 1
+    for j in range(s + 1, i):
+        den *= 2 * j - 1
+    # cdfs[c][x] = den * P(N_c <= x)
+    cdfs = [[den] * (lower + 1)]
+    for c in range(1, old + 1):
+        law = [1]
+        for j in range(s + 1, i):
+            gaps = 2 * j - 1
+            if s + j <= c:
+                law = [0] + [v * gaps for v in law]
+                continue
+            nxt = [0] * (len(law) + 1)
+            # law[N] has c + N gaps below the element
+            for n, v in enumerate(law):
+                below = c + n
+                nxt[n] += v * (gaps - below)
+                nxt[n + 1] += v * below
+            law = nxt
+        cdfs.append(list(accumulate(law)))
+    cdfs.append([0] * lower + [den])
+    columns = [[cdfs[c][x] - (cdfs[c + 1][x - 1] if x else 0) for c in range(old + 1)] for x in range(lower + 1)]
+    return columns, (2 * i - 1) * den
+
+
+def _urn(s: int, i: int):
+    """Yield b_i's gap law among the chain it searches, given Z = 0, 1, ...
+
+    Each item is ``(law, den)`` with ``law[pos] = den * P(pos | Z = z)``.
+    The state is the joint law of (pos, X); one more higher member below
+    a_i lands in one of the 2i + z gaps there, below b_i in pos + X + 1
+    of them, which moves pos up by one.
+    """
+    columns, den = _rank_law(s, i)
+    gaps = 2 * i
+    while True:
+        yield tuple(map(sum, zip(*columns))), den
+        grown = []
+        for x, column in enumerate(columns):
+            nxt = [0] * (len(column) + 1)
+            for pos, v in enumerate(column):
+                below = pos + x + 1
+                nxt[pos] += v * (gaps - below)
+                nxt[pos + 1] += v * below
+            grown.append(nxt)
+        columns = grown
+        den *= gaps
+        gaps += 1
+
+
+# (s, i) -> (the member's urn, the laws it has yielded so far)
+_POSITION_LAWS: dict[tuple[int, int], tuple] = {}
+
+
+def _position_law(s: int, i: int, z: int) -> tuple[tuple[int, ...], int]:
+    """``_urn(s, i)``'s law at Z = z, advancing the urn only past the laws it has yielded."""
+    entry = _POSITION_LAWS.get((s, i))
+    if entry is None:
+        entry = _POSITION_LAWS[(s, i)] = (_urn(s, i), [])
+    urn, laws = entry
+    while len(laws) <= z:
+        laws.append(next(urn))
+    return laws[z]
+
+
+@lru_cache(maxsize=None)
+def _member_cost(s: int, i: int, z: int, code: int) -> Fraction:
+    """Expected comparisons of b_i given Z = z higher members below a_i."""
+    law, den = _position_law(s, i, z)
+    return Fraction(sum(map(mul, law, decision_depths(s + i - 1 + z, _STRATEGIES[code]))), den)
+
+
 def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
     """Average comparisons to insert batch members b_(s+1) .. b_e into a
     chain already holding 2s settled elements below partner s + 1.
+
+    By linearity of expectation this is the sum over members b_i and the
+    Ỹ law of Z of the member costs E[decision_depths(L + z)[pos] | Z = z];
+    see the module docstring. It equals
+    ``cost_insert(InsertionState((2s,) + (0,) * (e - s - 1))).average``
+    without walking that tree.
 
     ``e == s`` denotes an empty batch and costs 0; ``e < s`` or ``s < 1``
     is a domain error.
@@ -154,10 +271,15 @@ def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
         raise ValueError("batch start must be at least 1")
     if e < s:
         raise ValueError("batch end must not precede its start")
-    if e == s:
-        return Fraction(0)
-    state = InsertionState((2 * s,) + (0,) * (e - s - 1))
-    return cost_insert(state, strategy).average
+    code = _STRATEGIES.index(strategy)
+    return sum(
+        (
+            _y_tilde_closed(i, e - i, z) * _member_cost(s, i, z, code)
+            for i in range(s + 1, e + 1)
+            for z in range(e - i + 1)
+        ),
+        Fraction(0),
+    )
 
 
 def exact_G(n: int, strategy: Strategy = Strategy.LEFT) -> Fraction:

@@ -339,10 +339,10 @@ def combined_sort(
     less: Callable = operator.lt,
 ) -> SortOutcome:
     """Batched sort of the first combined_prefix_size(n) keys, then
-    (1,2)-insertion of the remainder."""
+    (1,2)-insertion of the remainder. No keys cost no comparisons."""
     data = list(items)
     if not data:
-        raise ValueError("combined sort needs at least one element")
+        return SortOutcome([], 0)
     _require_distinct(data)
     m = combined_prefix_size(len(data))
     head = merge_insertion(data[:m], strategy, schedule, less=less)

@@ -6,7 +6,8 @@ methods by name (its ``COARSE`` and ``HOT`` tables, plus
 in the package would only surface as a crash of the traced benchmark
 run; these tests catch it in the ordinary suite instead. Its
 ``exact_analysis.states`` metric is ``len(_COST_CACHE)``, so that cache
-must hold exactly one entry per collapsed-tree state.
+must hold exactly one entry per collapsed-tree state ``cost_insert``
+visits.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def test_probes_go_through_chain_get(monkeypatch):
 
 
 def _root_states(n: int) -> set[tuple[int, ...]]:
-    """The batch states exact_F(n) evaluates, from the halving recurrence."""
+    """The tree states of the batches exact_F(n) costs, from the halving recurrence."""
     roots = set()
     while n > 1:
         m = (n + 1) // 2
@@ -118,14 +119,16 @@ def _reachable_states(roots) -> set[tuple[int, ...]]:
 
 
 def test_cost_cache_holds_one_entry_per_state():
+    # exact_F sums member costs and never walks the tree, so the tree is
+    # driven directly from the batch states exact_F(30) evaluates
     saved = dict(exact_analysis._COST_CACHE)
     exact_analysis._COST_CACHE.clear()
-    exact_analysis.exact_F.cache_clear()
     try:
-        exact_analysis.exact_F(30)
-        assert len(exact_analysis._COST_CACHE) == len(_reachable_states(_root_states(30)))
+        roots = _root_states(30)
+        for q in roots:
+            cost_insert(InsertionState(q))
+        assert len(exact_analysis._COST_CACHE) == len(_reachable_states(roots))
     finally:
-        exact_analysis.exact_F.cache_clear()
         exact_analysis._COST_CACHE.clear()
         exact_analysis._COST_CACHE.update(saved)
 

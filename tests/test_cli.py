@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction
 
@@ -28,6 +29,25 @@ def test_sort_rejects_duplicates(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "sort", str(src))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("algorithm", ["mi", "one-two", "combined"])
+def test_sort_empty_stdin(algorithm, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, out, err = run_cli(capsys, "sort", "--algorithm", algorithm)
+    assert code == 0
+    assert out == ""
+    assert err.strip() == "comparisons: 0"
+
+
+@pytest.mark.parametrize("text", ["3\nx\n1\n", "3\n1.5\n1\n"], ids=["word", "decimal"])
+@pytest.mark.parametrize("algorithm", ["mi", "one-two", "combined"])
+def test_sort_rejects_non_integer_line(algorithm, text, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "sort", "-", "--algorithm", algorithm)
+    assert code == 2
+    assert out == ""
+    assert "invalid literal" in err
 
 
 def test_exact_table_matches_published_values(capsys):

@@ -3,8 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from mergeinsertion import InsertionState, PathCount, Strategy, cost, cost_insert, exact_F, exact_G
-from mergeinsertion.exact_analysis import _cost
+from mergeinsertion import (
+    InsertionState,
+    PathCount,
+    Strategy,
+    cost,
+    cost_insert,
+    exact_analysis,
+    exact_F,
+    exact_G,
+    lower_bound_log_factorial,
+    numeric_upper_bound_F,
+    p_X,
+)
+from mergeinsertion.exact_analysis import _cost, _position_law, _rank_law
+from mergeinsertion.sorter import DEFAULT_SCHEDULE, batch_bound
 from oracles import brute_cost, initial_segments
 
 
@@ -113,3 +126,58 @@ def test_left_strategy_never_worse_at_small_sizes():
     for n in range(2, 16):
         left = exact_F(n, Strategy.LEFT)
         assert all(left <= exact_F(n, strategy) for strategy in Strategy)
+
+
+def _reached_batches(n_max: int) -> list[tuple[int, int]]:
+    """Every batch (s, e) that exact_F(n) costs for some n <= n_max."""
+    batches = set()
+    for n in range(2, n_max + 1):
+        batches.update((lo - 1, hi) for _k, lo, hi in DEFAULT_SCHEDULE.batches((n + 1) // 2))
+    return sorted(batches)
+
+
+@pytest.fixture
+def fresh_tree_cache():
+    # the tree states of n <= 78 take ~100 MB; give them back afterwards
+    saved = dict(exact_analysis._COST_CACHE)
+    exact_analysis._COST_CACHE.clear()
+    yield
+    exact_analysis._COST_CACHE.clear()
+    exact_analysis._COST_CACHE.update(saved)
+
+
+@pytest.mark.parametrize(
+    "strategy, n_max",
+    [(Strategy.LEFT, 78), (Strategy.RIGHT, 40), (Strategy.CENTER_LEFT, 40), (Strategy.CENTER_RIGHT, 40)],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_member_sum_matches_tree_on_every_reached_batch(strategy, n_max, fresh_tree_cache):
+    for s, e in _reached_batches(n_max):
+        state = InsertionState((2 * s,) + (0,) * (e - s - 1))
+        assert cost(s, e, strategy) == cost_insert(state, strategy).average, (s, e)
+
+
+def test_member_laws_are_exact_distributions():
+    batch_of_start = {batch_bound(k - 1): k for k in range(2, 9)}
+    members = {(s, i) for s, e in _reached_batches(78) for i in range(s + 1, e + 1)}
+    for s, i in sorted(members):
+        columns, den = _rank_law(s, i)
+        assert sum(map(sum, columns)) == den, (s, i)
+        assert all(v >= 0 for column in columns for v in column), (s, i)
+        for z in range(3):
+            law, den_z = _position_law(s, i, z)
+            assert sum(law) == den_z and min(law) >= 0, (s, i, z)
+        # every reached batch is a prefix of batch k, where C, b_i's gap
+        # among the non-batch elements below a_i, follows p_X
+        k = batch_of_start[s]
+        for c in range(s + i):
+            assert Fraction(sum(column[c] for column in columns), den) == p_X(k, i - s, c), (s, i, c)
+
+
+def test_exact_average_past_the_tree_limit():
+    # the tree needed ~1 GB near n = 120; the member sum reaches the
+    # paper's whole exact range
+    for n in range(1, 149):
+        value = exact_F(n)
+        assert (value * math.factorial(n)).denominator == 1, n
+        assert lower_bound_log_factorial(n) <= float(value) <= numeric_upper_bound_F(n) + 1e-9, n

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mergeinsertion import (
     PosSequence,
     Schedule,
+    SortOutcome,
     Strategy,
     combined_prefix_size,
     combined_sort,
@@ -57,6 +58,15 @@ def test_tiny_inputs():
         outcome = merge_insertion(perm)
         assert outcome.items == [1, 2]
         assert outcome.comparisons == 1
+
+
+def test_empty_input_costs_nothing():
+    empty = SortOutcome([], 0)
+    assert merge_insertion([]) == empty
+    assert one_two_insertion([], []) == empty
+    assert combined_sort([]) == empty
+    with pytest.raises(ValueError):
+        combined_prefix_size(0)
 
 
 def test_duplicate_keys_rejected():
