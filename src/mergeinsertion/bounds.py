@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .sorter import DEFAULT_SCHEDULE, _t_ins_avg_exact, batch_bound
-from .probability import p_Y, batch_width
+from .probability import _check_member, batch_width, p_Y
 
 LOG2_3 = math.log2(3.0)
 
@@ -49,6 +49,7 @@ def t_ins(i: int, k: int) -> float:
     """Upper bound on the expected insertion cost of batch member i of
     batch k: the mean of t_ins_avg(Y + 1) under the exact
     insertion-length distribution."""
+    _check_member(k, i)
     t = batch_bound(k - 1)
     lo = 2 * t + i - 1
     hi = (1 << k) - 1

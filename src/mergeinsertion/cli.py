@@ -171,17 +171,24 @@ def cmd_compare_algos(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="experiment seed (default 0)")
-    common.add_argument("--trials", type=int, default=None, help="trials per size (default: scaled 10..10000)")
-    common.add_argument(
+    # one small parent per option group, so each subcommand takes only the options it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file (default stdout)")
+
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--seed", type=int, default=0, help="experiment seed (default 0)")
+    sampling.add_argument("--trials", type=int, default=None, help="trials per size (default: scaled 10..10000)")
+
+    strategy = argparse.ArgumentParser(add_help=False)
+    strategy.add_argument(
         "--strategy",
         default="left",
         choices=[s.value for s in Strategy],
         help="binary-insertion strategy (default left)",
     )
-    common.add_argument("--factor", default="1", help="schedule stretch factor, e.g. 1.03 (default 1)")
-    common.add_argument("--out", default=None, help="output file (default stdout)")
+
+    factor = argparse.ArgumentParser(add_help=False)
+    factor.add_argument("--factor", default="1", help="schedule stretch factor, e.g. 1.03 (default 1)")
 
     sizes = argparse.ArgumentParser(add_help=False)
     sizes.add_argument("--n", default=None, help="comma-separated input sizes")
@@ -200,36 +207,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sort", parents=[common], help="sort newline-separated integers")
+    p = sub.add_parser("sort", parents=[strategy, factor, out], help="sort newline-separated integers")
     p.add_argument("input", nargs="?", default="-", help="input file ('-' for stdin)")
     p.add_argument("--algorithm", default="mi", choices=harness.ALGORITHMS)
     p.set_defaults(func=cmd_sort)
 
-    p = sub.add_parser("count", parents=[common, sizes], help="mean comparison counts over random permutations")
+    p = sub.add_parser(
+        "count",
+        parents=[sampling, strategy, factor, out, sizes],
+        help="mean comparison counts over random permutations",
+    )
     p.add_argument("--algorithm", default="mi", choices=harness.ALGORITHMS)
     p.add_argument("--exhaustive", action="store_true", help="enumerate all n! permutations (n <= 8)")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("exact", parents=[common, sizes], help="exact average comparison counts")
+    p = sub.add_parser("exact", parents=[strategy, out, sizes], help="exact average comparison counts")
     p.add_argument("--n-max", type=int, default=None, help="compute every size 1..N")
     p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("dist", parents=[common], help="exact insertion distributions for one batch")
+    p = sub.add_parser("dist", parents=[out], help="exact insertion distributions for one batch")
     p.add_argument("--k", type=int, required=True, help="batch index (>= 2)")
     p.add_argument("--var", default="y", choices=["y", "x", "mean"], help="table to emit")
     p.add_argument("--i", type=int, action="append", help="batch member index (repeatable)")
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("bound", parents=[common, sizes], help="normalized lower/upper bound table")
+    p = sub.add_parser("bound", parents=[out, sizes], help="normalized lower/upper bound table")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("sweep-factor", parents=[common, sizes], help="schedule-stretch sweep")
+    # no abbreviations here: "--factor" would silently read as "--factors"
+    p = sub.add_parser(
+        "sweep-factor", parents=[sampling, strategy, out, sizes], allow_abbrev=False, help="schedule-stretch sweep"
+    )
     p.add_argument("--factors", default="1.0,1.02,1.03,1.04,1.05", help="comma-separated factors")
     p.set_defaults(func=cmd_sweep_factor)
 
     p = sub.add_parser(
         "compare-algos",
-        parents=[common, sizes],
+        parents=[sampling, strategy, factor, out, sizes],
         help="batched vs combined algorithm (--factor overrides the 1.03 variant column)",
     )
     p.set_defaults(func=cmd_compare_algos)

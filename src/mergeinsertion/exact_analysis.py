@@ -32,15 +32,8 @@ length and leaf count of inserting any pending state, which the tests
 use as the reference for the member sum. It tracks, per pending
 element, only the number of settled elements in each partner gap:
 branches that agree on those counts behave identically from then on and
-are collapsed, with leaf multiplicities carried along. Each collapsed
-state is memoized under one packed integer key: 16-bit fields holding
-the strategy's code and then the gap counts, with a set bit above the
-last field marking the length. A child state's key is its parent's key
-with the top field cleared and the length bit moved down one field, plus
-one in the bumped field, so the recursion looks every child up in the
-memo before it recurses and builds a child tuple only on a miss. Chains
-of 2^16 or more elements do not fit the fields and are rejected up
-front.
+are collapsed, with leaf multiplicities carried along, and each
+collapsed state is memoized under ``(q, strategy)``.
 
 The per-sort average F(n) follows the halving recurrence
 F(n) = floor(n/2) + F(floor(n/2)) + G(ceil(n/2)), where G(m) sums the
@@ -49,7 +42,6 @@ batch costs of inserting m small elements.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -104,62 +96,33 @@ class PathCount:
         return Fraction(self.path_length, self.leaves)
 
 
-# A state packs into one int of 16-bit fields: field 0 holds the
-# strategy's position in ``Strategy``, field s + 1 holds q[s], and one
-# set bit just above the last field marks the length, so (1,) and (1, 0)
-# get different keys. The gap counts are packed as the bytes of an
-# unsigned-short array.
-_FIELD = 8 * array("H").itemsize
-_STRATEGIES = tuple(Strategy)
-
-_COST_CACHE: dict[int, tuple[int, int]] = {}
-
-
-@lru_cache(maxsize=None)
-def _depth_prefix(m: int, code: int) -> tuple[int, ...]:
-    """Running sums of ``decision_depths``: gaps a..b-1 cost prefix[b] - prefix[a]."""
-    return tuple(accumulate(decision_depths(m, _STRATEGIES[code]), initial=0))
+_COST_CACHE: dict[tuple[tuple[int, ...], Strategy], tuple[int, int]] = {}
 
 
 def _cost(q: tuple[int, ...], strategy: Strategy, memo: dict | None) -> tuple[int, int]:
-    r = len(q)
-    if not r:
+    if not q:
         return (0, 1)
-    elements = r - 1 + sum(q)
-    if elements >> _FIELD:
-        raise ValueError(f"a chain of {elements} elements does not fit the {_FIELD}-bit state fields")
-    code = _STRATEGIES.index(strategy)  # by identity: no Python-level enum hash
-    top = _FIELD * r
-    key = code | int.from_bytes(array("H", q).tobytes(), "little") << _FIELD | 1 << (top + _FIELD)
-    lookup = (memo if memo is not None else {}).get
-    hit = lookup(key)
-    if hit is not None:
-        return hit
-    prefix = _depth_prefix(elements, code)
-    # landing anywhere in segment s bumps q[s]; the top entry is dropped
-    # because its partner leaves the relevant chain, which in the key
-    # clears the top field and moves the length bit down one field
-    base = key & ((1 << top) - 1) | 1 << top
-    last = r - 1
-    bump = 1 << _FIELD
+    if memo is not None:
+        hit = memo.get((q, strategy))
+        if hit is not None:
+            return hit
+    r = len(q)
+    depths = decision_depths(r - 1 + sum(q), strategy)
     path = 0
     leaves = 0
     index = 0
     for s, count in enumerate(q):
+        # landing anywhere in segment s bumps q[s]; the top entry is
+        # dropped because its partner leaves the relevant chain
         gaps = count + 1
-        # look the child up before recursing: a hit costs no call and no tuple
-        child = lookup(base + bump if s < last else base)
-        if child is None:
-            child = _cost(q[:s] + (gaps,) + q[s + 1 : last] if s < last else q[:last], strategy, memo)
-        child_path, child_leaves = child
-        end = index + gaps
-        path += gaps * child_path + child_leaves * (prefix[end] - prefix[index])
+        child = q[:s] + (gaps,) + q[s + 1 : r - 1] if s < r - 1 else q[: r - 1]
+        child_path, child_leaves = _cost(child, strategy, memo)
+        path += gaps * child_path + child_leaves * sum(depths[index : index + gaps])
         leaves += gaps * child_leaves
-        index = end
-        bump <<= _FIELD
+        index += gaps
     result = (path, leaves)
     if memo is not None:
-        memo[key] = result
+        memo[(q, strategy)] = result
     return result
 
 
@@ -248,10 +211,10 @@ def _position_law(s: int, i: int, z: int) -> tuple[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _member_cost(s: int, i: int, z: int, code: int) -> Fraction:
+def _member_cost(s: int, i: int, z: int, strategy: Strategy) -> Fraction:
     """Expected comparisons of b_i given Z = z higher members below a_i."""
     law, den = _position_law(s, i, z)
-    return Fraction(sum(map(mul, law, decision_depths(s + i - 1 + z, _STRATEGIES[code]))), den)
+    return Fraction(sum(map(mul, law, decision_depths(s + i - 1 + z, strategy))), den)
 
 
 def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
@@ -271,10 +234,9 @@ def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
         raise ValueError("batch start must be at least 1")
     if e < s:
         raise ValueError("batch end must not precede its start")
-    code = _STRATEGIES.index(strategy)
     return sum(
         (
-            _y_tilde_closed(i, e - i, z) * _member_cost(s, i, z, code)
+            _y_tilde_closed(i, e - i, z) * _member_cost(s, i, z, strategy)
             for i in range(s + 1, e + 1)
             for z in range(e - i + 1)
         ),

@@ -4,10 +4,11 @@
 methods by name (its ``COARSE`` and ``HOT`` tables, plus
 ``sorter.merge_insertion``) and reads a few caches after a run. A rename
 in the package would only surface as a crash of the traced benchmark
-run; these tests catch it in the ordinary suite instead. Its
-``exact_analysis.states`` metric is ``len(_COST_CACHE)``, so that cache
-must hold exactly one entry per collapsed-tree state ``cost_insert``
-visits.
+run; these tests catch it in the ordinary suite instead. The
+``exact_analysis.cost`` metrics wrap the collapsed tree's ``_cost`` and
+the ``exact_analysis.states`` metric is ``len(_COST_CACHE)``, so that
+cache must hold exactly one entry per ``(q, strategy)`` state
+``cost_insert`` visits.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import pytest
 
 from mergeinsertion import InsertionState, PosSequence, Strategy, cost_insert, exact_analysis, harness, merge_insertion
 from mergeinsertion.sorter import batch_bound
-from mergeinsertion.strategies import decision_depths
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -132,11 +132,3 @@ def test_cost_cache_holds_one_entry_per_state():
         exact_analysis._COST_CACHE.clear()
         exact_analysis._COST_CACHE.update(saved)
 
-
-def test_oversized_chain_rejected_before_any_work():
-    depths_before = decision_depths.cache_info().currsize
-    states_before = len(exact_analysis._COST_CACHE)
-    with pytest.raises(ValueError, match="65536 elements"):
-        cost_insert(InsertionState((65534, 0, 0)))
-    assert decision_depths.cache_info().currsize == depths_before
-    assert len(exact_analysis._COST_CACHE) == states_before

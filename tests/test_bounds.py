@@ -48,6 +48,13 @@ def test_member_cost_below_batch_limit():
         assert t_ins(i, 10) <= 10 + 1e-12
 
 
+@pytest.mark.parametrize("i, k", [(0, 3), (3, 3), (100, 3), (1, 1), (1, 0)])
+def test_member_cost_rejects_members_outside_the_batch(i, k):
+    # batch 3 has members 1..2; batches start at k = 2
+    with pytest.raises(ValueError):
+        t_ins(i, k)
+
+
 def test_member_cost_monotone():
     for k in range(2, 8):
         values = [t_ins(i, k) for i in range(1, batch_width(k) + 1)]

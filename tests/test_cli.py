@@ -173,6 +173,28 @@ def test_bad_arguments_exit_with_named_error(capsys, argv, message):
     assert "error: " in err and message in err
 
 
+UNREAD_OPTIONS = {
+    "exact": (("--n", "5"), ("--seed", "1"), ("--trials", "3"), ("--factor", "1.03")),
+    "dist": (("--k", "3"), ("--seed", "1"), ("--trials", "3"), ("--strategy", "right"), ("--factor", "1.03")),
+    "bound": (("--n", "5"), ("--seed", "1"), ("--trials", "3"), ("--strategy", "right"), ("--factor", "1.03")),
+    "sort": ((), ("--seed", "1"), ("--trials", "3")),
+    "sweep-factor": (("--n", "5"), ("--factor", "1.03")),
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, (_base, *options) in UNREAD_OPTIONS.items() for option in options],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_subcommands_reject_options_they_do_not_read(capsys, command, option):
+    base = UNREAD_OPTIONS[command][0]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *base, *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
+
 def test_exact_rejects_non_integral_scaled_average(monkeypatch, capsys):
     monkeypatch.setattr(exact_analysis, "exact_F", lambda n, strategy=None: Fraction(1, 7))
     code, out, err = run_cli(capsys, "exact", "--n", "3")

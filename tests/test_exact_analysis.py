@@ -17,7 +17,7 @@ from mergeinsertion import (
     p_X,
 )
 from mergeinsertion.exact_analysis import _cost, _position_law, _rank_law
-from mergeinsertion.sorter import DEFAULT_SCHEDULE, batch_bound
+from mergeinsertion.sorter import DEFAULT_SCHEDULE, _t_ins_avg_exact, batch_bound
 from oracles import brute_cost, initial_segments
 
 
@@ -113,6 +113,13 @@ def test_memoization_transparent():
         assert cost_insert(InsertionState(q)) == PathCount(*cached)
 
 
+def test_single_insertion_into_a_long_chain():
+    # one pending element over 65536 settled ones lands uniformly in
+    # 65537 gaps; the tree has no limit on the chain length
+    state = InsertionState((65536,))
+    assert cost_insert(state, Strategy.LEFT).average == _t_ins_avg_exact(65537)
+
+
 def test_strategy_invariance_small_sizes():
     # all four pivot rules give the same exact average up to n = 12; they
     # start to differ at n = 13
@@ -138,7 +145,7 @@ def _reached_batches(n_max: int) -> list[tuple[int, int]]:
 
 @pytest.fixture
 def fresh_tree_cache():
-    # the tree states of n <= 78 take ~100 MB; give them back afterwards
+    # the tree states of n <= 78 take ~110 MB; give them back afterwards
     saved = dict(exact_analysis._COST_CACHE)
     exact_analysis._COST_CACHE.clear()
     yield

@@ -6,8 +6,10 @@ collapsed decision tree for a fixed list of insertion states, evaluated
 with a fresh caller-supplied memo. A change to how ``_cost`` keys,
 stores or walks its states must leave every value untouched.
 
-The table was recorded before the collapsed tree moved to packed
-integer state keys. ``python tests/test_exact_golden.py`` (with ``src``
+The table was recorded while ``_cost`` memoized its states under
+``(q, strategy)`` tuples, and every value held unchanged both under the
+packed-integer keys that replaced them and after the return to tuple
+keys. ``python tests/test_exact_golden.py`` (with ``src``
 on ``PYTHONPATH``) prints the current values in the same source form,
 for a change that is meant to alter them.
 """

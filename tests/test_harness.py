@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,11 @@ from mergeinsertion import (
     sweep_factor,
 )
 from mergeinsertion.harness import (
+    ALGORITHMS,
     default_trials,
     exhaustive_mean,
     log_spaced_ns,
+    sort_fn,
 )
 
 
@@ -34,6 +37,17 @@ def test_config_validation():
         ExperimentConfig(ns=(4,), factor=Fraction(3))
     with pytest.raises(ValueError):
         ExperimentConfig(ns=(9,), exhaustive=True)
+
+
+def test_unknown_algorithm_is_rejected():
+    # an unknown name must not fall through to one of the real sorts
+    message = f"unknown algorithm 'bogus'; expected one of {ALGORITHMS}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sort_fn("bogus", Strategy.LEFT, Fraction(1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exhaustive_mean(5, "bogus")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(ns=(4,), algorithm="bogus")
 
 
 def test_default_trials_schedule():
