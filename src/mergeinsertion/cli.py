@@ -91,6 +91,8 @@ def cmd_exact(args) -> int:
 
     if args.n_max is not None and args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
+    if args.n_max is not None and (args.n or args.log_range):
+        raise ValueError("--n-max cannot be combined with --n or --log-range")
     ns = range(1, args.n_max + 1) if args.n_max is not None else _parse_ns(args)
     strategy = _strategy(args)
     rows = []
@@ -111,6 +113,8 @@ def cmd_dist(args) -> int:
         raise ValueError("batch index --k must be at least 2")
     width = probability.batch_width(k)
     if args.var == "mean":
+        if args.i:
+            raise ValueError("--i does not apply to --var mean, which lists every member")
         rows = [[i, float(probability.mean_Y(k, i))] for i in range(1, width + 1)]
         table = Table(["i", "EYi"], rows)
         _emit(table, args)

@@ -55,6 +55,8 @@ class ExperimentConfig:
         _check_trials(self.trials)
         if self.exhaustive and any(n > _EXHAUSTIVE_MAX for n in self.ns):
             raise ValueError(f"exhaustive mode enumerates n! permutations; limited to n <= {_EXHAUSTIVE_MAX}")
+        if self.exhaustive and self.trials is not None:
+            raise ValueError("exhaustive mode enumerates all n! permutations; it takes no trial count")
 
 
 @dataclass(frozen=True)

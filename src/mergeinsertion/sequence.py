@@ -3,10 +3,13 @@
 Items are addressed purely by zero-based position; the container never
 compares items. The items live in a list of blocks (plain lists), and
 ``_starts[i]`` is the position of block i's first item. A lookup is one
-bisection of ``_starts`` and two subscripts; an insertion is one in-block
-``list.insert`` plus a bump of every later start, and a block is split in
-half once it outgrows a bound that grows like the square root of the
-size. No block is empty unless the whole sequence is.
+bisection of ``_starts``: ``block_at`` returns the block it lands in with
+that block's first position, so a reader probing nearby positions (a
+binary search) subscripts the block itself until a probe leaves it. An
+insertion is one in-block ``list.insert`` plus a bump of every later
+start, and a block is split in half once it outgrows a bound that grows
+like the square root of the size. No block is empty unless the whole
+sequence is.
 """
 
 from __future__ import annotations
@@ -29,12 +32,16 @@ def _block_bound(size: int) -> int:
 class PosSequence:
     """Ordered container with indexed insert, lookup and iteration."""
 
-    __slots__ = ("_blocks", "_starts", "_size")
+    __slots__ = ("_blocks", "_starts", "_size", "_bound")
 
     def __init__(self) -> None:
         self._blocks: list[list] = [[]]
         self._starts: list[int] = [0]
         self._size = 0
+        # _block_bound of some earlier size: bounds grow with the size, so
+        # a block within it needs no split, and insert recomputes the bound
+        # only when a block outgrows it
+        self._bound = _block_bound(0)
 
     @classmethod
     def from_items(cls, items: Iterable[Any]) -> "PosSequence":
@@ -42,7 +49,8 @@ class PosSequence:
         seq = cls()
         data = list(items)
         if data:
-            step = _block_bound(len(data)) >> 1
+            seq._bound = _block_bound(len(data))
+            step = seq._bound >> 1
             seq._blocks = [data[i:i + step] for i in range(0, len(data), step)]
             seq._starts = list(range(0, len(data), step))
             seq._size = len(data)
@@ -53,12 +61,23 @@ class PosSequence:
 
     def get(self, pos: int) -> Any:
         """Item at ``pos``; raises IndexError outside [0, len)."""
-        if not 0 <= pos < self._size:
-            raise IndexError(f"position {pos} out of range for length {self._size}")
-        i = bisect_right(self._starts, pos) - 1
-        return self._blocks[i][pos - self._starts[i]]
+        block, start = self.block_at(pos)
+        return block[pos - start]
 
     __getitem__ = get
+
+    def block_at(self, pos: int) -> tuple[list, int]:
+        """The block holding ``pos`` and the position of its first item.
+
+        The item at ``pos`` is ``block[pos - start]``. The block is the
+        live one: it is valid only until the next insert, and the caller
+        must not change it. Raises IndexError outside [0, len).
+        """
+        if not 0 <= pos < self._size:
+            raise IndexError(f"position {pos} out of range for length {self._size}")
+        starts = self._starts
+        i = bisect_right(starts, pos) - 1
+        return self._blocks[i], starts[i]
 
     def insert(self, pos: int, item: Any) -> None:
         """Place ``item`` at ``pos``, shifting later items right by one.
@@ -75,11 +94,13 @@ class PosSequence:
         self._size += 1
         for j in range(i + 1, len(starts)):
             starts[j] += 1
-        if len(block) > _block_bound(self._size):
-            mid = len(block) >> 1
-            self._blocks.insert(i + 1, block[mid:])
-            del block[mid:]
-            starts.insert(i + 1, starts[i] + mid)
+        if len(block) > self._bound:
+            self._bound = _block_bound(self._size)
+            if len(block) > self._bound:
+                mid = len(block) >> 1
+                self._blocks.insert(i + 1, block[mid:])
+                del block[mid:]
+                starts.insert(i + 1, starts[i] + mid)
 
     def __iter__(self) -> Iterator[Any]:
         return chain.from_iterable(self._blocks)

@@ -250,8 +250,10 @@ def _prefer_pair(m: int) -> bool:
             sum2u = hi * (hi + 1) - (lo - 1) * lo
             total += (j + 1) * sum2u - (1 << (j + 1)) * (hi - lo + 1)
         j += 1
-    e_small = Fraction(total, top * (top + 1))
-    return 1 + e_small <= _t_ins_avg_exact(m + 2)
+    # 1 + total / (top (top + 1)) <= _t_ins_avg_exact(m + 2) = k + 1 - 2^k / (top + 1),
+    # multiplied through by top (top + 1) to stay in integers
+    k = top.bit_length()
+    return total + (top << k) <= k * top * (top + 1)
 
 
 def _insert_one_two(

@@ -115,6 +115,30 @@ def initial_segments(s: int, e: int) -> tuple[tuple, ...]:
     return (base,) + ((),) * (e - s - 1)
 
 
+def prefer_pair_table(m_max: int) -> list[bool]:
+    """The pair-or-single rule for chain lengths 0..m_max, in exact rationals.
+
+    A search over u gaps puts its leaves on two levels, 2^d - u of them at
+    depth d - 1 and the rest at depth d (d = ceil(log2 u)), so it costs
+    T(u) = d + 1 - 2^d / u on average. The larger of two fresh keys lands
+    in gap g of m + 1 with probability 2(g + 1) / ((m + 1)(m + 2)), and
+    the smaller then searches the g + 1 gaps below it. The pair wins when
+    1 + E[smaller's cost] <= T(m + 2), the second of two single searches.
+    """
+
+    def t(u: int) -> Fraction:
+        d = (u - 1).bit_length()
+        return Fraction(d + 1) - Fraction(1 << d, u)
+
+    table = []
+    weighted = Fraction(0)  # sum of u * T(u) over u = 1..m + 1
+    for m in range(m_max + 1):
+        weighted += (m + 1) * t(m + 1)
+        e_small = 2 * weighted / ((m + 1) * (m + 2))
+        table.append(1 + e_small <= t(m + 2))
+    return table
+
+
 def one_two_cost_by_values(prefix_vals: list, rest_vals: tuple, strategy: Strategy) -> int:
     """Comparison count of the one-or-two insertion procedure, replayed
     arithmetically on concrete values (no chain data structure)."""

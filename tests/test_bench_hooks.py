@@ -14,12 +14,22 @@ cache must hold exactly one entry per ``(q, strategy)`` state
 from __future__ import annotations
 
 import importlib.util
+import operator
 import sys
 from pathlib import Path
 
 import pytest
 
-from mergeinsertion import InsertionState, PosSequence, Strategy, cost_insert, exact_analysis, harness, merge_insertion
+from mergeinsertion import (
+    InsertionState,
+    PosSequence,
+    Strategy,
+    combined_sort,
+    cost_insert,
+    exact_analysis,
+    harness,
+    merge_insertion,
+)
 from mergeinsertion.sorter import batch_bound
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -74,20 +84,36 @@ def test_sorts_reached_through_harness_globals(monkeypatch):
     assert calls == {"merge_insertion": 3, "combined_sort": 5}
 
 
-def test_probes_go_through_chain_get(monkeypatch):
-    # the benchmark's probes_per_insert counts PosSequence.get calls, so
-    # every insertion comparison must read the chain through get
-    calls = 0
-    orig = PosSequence.get
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_probes_read_chain_blocks(monkeypatch, strategy):
+    # binary_insert reads the chain through block_at, at most one call per
+    # insertion comparison, and never through get; the benchmark's
+    # sequence.get metrics and probes_per_insert count get calls
+    calls = {"get": 0, "block_at": 0, "less": 0}
 
-    def get(self, pos):
-        nonlocal calls
-        calls += 1
-        return orig(self, pos)
+    def counting(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(PosSequence, "get", get)
-    outcome = merge_insertion(range(500, 0, -1), collect_insertions=True)
-    assert calls == sum(rec[3] for rec in outcome.insertions) > 0
+        return call
+
+    monkeypatch.setattr(PosSequence, "get", counting("get", PosSequence.get))
+    monkeypatch.setattr(PosSequence, "block_at", counting("block_at", PosSequence.block_at))
+    less = counting("less", operator.lt)
+    keys = list(range(500, 0, -1))
+
+    outcome = merge_insertion(keys, strategy, less=less, collect_insertions=True)
+    assert outcome.items == sorted(keys)
+    assert calls["less"] == outcome.comparisons
+    assert 0 < calls["block_at"] <= sum(rec[3] for rec in outcome.insertions)
+
+    calls.update(block_at=0, less=0)
+    outcome = combined_sort(keys[:400], strategy, less=less)
+    assert outcome.items == sorted(keys[:400])
+    assert calls["less"] == outcome.comparisons
+    assert 0 < calls["block_at"] <= outcome.comparisons
+    assert calls["get"] == 0
 
 
 def _root_states(n: int) -> set[tuple[int, ...]]:

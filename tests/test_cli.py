@@ -162,6 +162,12 @@ BAD_ARGUMENTS = {
     "bound-negative-n": (("bound", "--n", "-5"), "input sizes must be at least 1"),
     "sweep-zero-n": (("sweep-factor", "--n", "0", "--trials", "1"), "input sizes must be at least 1"),
     "compare-zero-n": (("compare-algos", "--n", "0", "--trials", "1"), "input sizes must be at least 1"),
+    "exact-n-with-n-max": (("exact", "--n", "40", "--n-max", "3"), "--n-max cannot be combined with --n"),
+    "dist-mean-with-member": (("dist", "--k", "3", "--var", "mean", "--i", "7"), "--i does not apply to --var mean"),
+    "count-exhaustive-with-trials": (
+        ("count", "--n", "4", "--exhaustive", "--trials", "3"),
+        "exhaustive mode enumerates all n! permutations; it takes no trial count",
+    ),
 }
 
 

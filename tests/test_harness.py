@@ -37,6 +37,8 @@ def test_config_validation():
         ExperimentConfig(ns=(4,), factor=Fraction(3))
     with pytest.raises(ValueError):
         ExperimentConfig(ns=(9,), exhaustive=True)
+    with pytest.raises(ValueError, match="takes no trial count"):
+        ExperimentConfig(ns=(4,), exhaustive=True, trials=3)
 
 
 def test_unknown_algorithm_is_rejected():

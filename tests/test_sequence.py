@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from itertools import accumulate
 
 import pytest
@@ -30,6 +31,10 @@ def test_out_of_range_rejected():
         seq.get(3)
     with pytest.raises(IndexError):
         seq.get(-1)
+    with pytest.raises(IndexError):
+        seq.block_at(3)
+    with pytest.raises(IndexError):
+        seq.block_at(-1)
     with pytest.raises(IndexError):
         seq.insert(4, 0)
     with pytest.raises(IndexError):
@@ -78,6 +83,29 @@ def test_blocks_bounded_under_random_inserts():
     assert_block_invariants(seq)
 
 
+def reference_starts(positions) -> list[int]:
+    """Block starts after inserting at ``positions`` into an empty sequence,
+    with the split bound recomputed from the size on every insert."""
+    lengths = [0]
+    for size, pos in enumerate(positions, start=1):
+        i = bisect_right(list(accumulate(lengths[:-1], initial=0)), pos) - 1
+        lengths[i] += 1
+        if lengths[i] > _block_bound(size):
+            mid = lengths[i] >> 1
+            lengths[i : i + 1] = [mid, lengths[i] - mid]
+    return list(accumulate(lengths[:-1], initial=0))
+
+
+def test_cached_bound_splits_where_the_size_bound_does():
+    rng = random.Random(20191)
+    positions = [rng.randint(0, step) for step in range(100_000)]
+    seq = PosSequence()
+    for step, pos in enumerate(positions):
+        seq.insert(pos, step)
+    assert seq._starts == reference_starts(positions)
+    assert len(seq._starts) > 10
+
+
 def test_blocks_bounded_under_adversarial_front_inserts():
     seq = PosSequence()
     for step in range(50_000):
@@ -103,6 +131,10 @@ def test_block_boundaries_match_list_oracle(size):
         assert_block_invariants(seq)
     assert seq.to_list() == oracle
     assert [seq.get(i) for i in range(len(oracle))] == oracle
+    for i, item in enumerate(oracle):
+        block, start = seq.block_at(i)
+        assert start in seq._starts and start <= i < start + len(block)
+        assert block[i - start] == item
 
 
 @settings(max_examples=200, deadline=None)

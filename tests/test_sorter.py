@@ -18,7 +18,8 @@ from mergeinsertion import (
     merge_insertion,
     one_two_insertion,
 )
-from oracles import one_two_mean_oracle
+from mergeinsertion.sorter import _prefer_pair
+from oracles import one_two_mean_oracle, prefer_pair_table
 
 
 def test_batch_bounds():
@@ -201,6 +202,12 @@ def test_one_two_sorts_and_mean_matches_oracle():
         total += outcome.comparisons
         runs += 1
     assert total / runs == one_two_mean_oracle(4, 2, Strategy.LEFT)
+
+
+def test_prefer_pair_matches_rational_reference():
+    reference = prefer_pair_table(5000)
+    assert [_prefer_pair(m) for m in range(5001)] == reference
+    assert reference[:3] == [True, True, False]
 
 
 def test_combined_prefix_sizes():

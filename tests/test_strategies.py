@@ -60,8 +60,17 @@ def test_binary_insert_trivial_and_errors():
     tally = Tally()
     assert binary_insert(15, chain, 2, 2, Strategy.LEFT, tally) == 2
     assert tally.count == 0
-    with pytest.raises(IndexError):
-        binary_insert(15, chain, 2, 1, Strategy.LEFT, tally)
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 1), (-1, 2), (0, 4), (-2, -1), (4, 4)])
+def test_binary_insert_rejects_range_before_comparing(lo, hi):
+    def less(a, b):
+        raise AssertionError("compared before the range was checked")
+
+    tally = Tally()
+    with pytest.raises(IndexError, match="invalid range"):
+        binary_insert(15, PosSequence.from_items([10, 20, 30]), lo, hi, Strategy.LEFT, tally, less=less)
+    assert tally.count == 0
 
 
 def test_binary_insert_every_gap_every_strategy():
