@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .sorter import DEFAULT_SCHEDULE, _t_ins_avg_exact, batch_bound
-from .probability import _check_member, batch_width, p_Y
+from .probability import _check_member, batch_width
 
 LOG2_3 = math.log2(3.0)
 
@@ -48,15 +48,10 @@ def t_ins_avg(m: int) -> float:
 def t_ins(i: int, k: int) -> float:
     """Upper bound on the expected insertion cost of batch member i of
     batch k: the mean of t_ins_avg(Y + 1) under the exact
-    insertion-length distribution."""
+    insertion-length distribution, evaluated as the per-member term that
+    ``_batch_cost_bound`` sums for a full batch."""
     _check_member(k, i)
-    t = batch_bound(k - 1)
-    lo = 2 * t + i - 1
-    hi = (1 << k) - 1
-    total = 0.0
-    for j in range(lo, hi + 1):
-        total += float(p_Y(k, i, j)) * t_ins_avg(j + 1)
-    return total
+    return _member_cost_bound(batch_bound(k - 1), i, batch_width(k) - i)
 
 
 def _y_tilde_row(T: int, q: int) -> np.ndarray:
@@ -76,24 +71,29 @@ def _y_tilde_row(T: int, q: int) -> np.ndarray:
     return np.exp(logp)
 
 
+def _member_cost_bound(t_prev: int, i: int, q: int) -> float:
+    """Mean of T_InsAvg(Y + 1) for member b_(t_prev+i) with q members
+    inserted above it, Y = 2 t_prev + i - 1 + Ỹ. Every gap count m lies
+    in (2 t_prev, 2^k], with k the bit length of 2 t_prev, so
+    T_InsAvg(m) = k + 1 - 2^k / m there."""
+    k = (2 * t_prev).bit_length()
+    base = 2 * t_prev + i - 1
+    probs = _y_tilde_row(t_prev + i, q)
+    sizes = np.arange(base + 1, base + q + 2, dtype=np.float64)
+    return float(probs @ (k + 1.0 - np.exp2(k) / sizes))
+
+
 @lru_cache(maxsize=None)
 def _batch_cost_bound(t_prev: int, top: int) -> float:
     """Summed per-member cost bounds for inserting b_(t_prev+1) .. b_top.
 
     Truncated batches are handled exactly: member i then has only
     top - t_prev - i elements inserted above it, which shortens the
-    helper distribution instead of reusing the full-batch one. In a batch
-    of the plain schedule every gap count m lies in (2 t_prev, 2^k], with
-    k the bit length of 2 t_prev, so T_InsAvg(m) = k + 1 - 2^k / m there.
+    helper distribution instead of reusing the full-batch one.
     """
-    k = (2 * t_prev).bit_length()
     total = 0.0
     for i in range(1, top - t_prev + 1):
-        q = top - t_prev - i
-        base = 2 * t_prev + i - 1
-        probs = _y_tilde_row(t_prev + i, q)
-        sizes = np.arange(base + 1, base + q + 2, dtype=np.float64)
-        total += float(probs @ (k + 1.0 - np.exp2(k) / sizes))
+        total += _member_cost_bound(t_prev, i, top - t_prev - i)
     return total
 
 

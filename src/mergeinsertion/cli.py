@@ -44,8 +44,13 @@ def _emit(table: Table, args) -> None:
         emit_tsv(table, sys.stdout.buffer)
 
 
+def _seed(args) -> int:
+    # --seed defaults to None so an explicit --seed 0 can be refused where no seed applies
+    return 0 if args.seed is None else args.seed
+
+
 def _note_seed(args) -> None:
-    print(f"# generator={harness.GENERATOR} seed={args.seed}", file=sys.stderr)
+    print(f"# generator={harness.GENERATOR} seed={_seed(args)}", file=sys.stderr)
 
 
 def cmd_sort(args) -> int:
@@ -67,13 +72,15 @@ def cmd_sort(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.exhaustive and args.seed is not None:
+        raise ValueError("--exhaustive enumerates all n! permutations; it takes no --seed")
     cfg = ExperimentConfig(
         ns=_parse_ns(args),
         algorithm=args.algorithm,
         strategy=_strategy(args),
         factor=Fraction(args.factor),
         trials=args.trials,
-        seed=args.seed,
+        seed=_seed(args),
         exhaustive=args.exhaustive,
     )
     _note_seed(args)
@@ -154,7 +161,7 @@ def cmd_sweep_factor(args) -> int:
     _note_seed(args)
     factors = [part for part in args.factors.split(",")]
     table = harness.sweep_factor(
-        _parse_ns(args), factors, _strategy(args), args.trials, args.seed
+        _parse_ns(args), factors, _strategy(args), args.trials, _seed(args)
     )
     _emit(table, args)
     return 0
@@ -166,7 +173,7 @@ def cmd_compare_algos(args) -> int:
     table = harness.compare_algorithms(
         _parse_ns(args),
         trials=args.trials,
-        seed=args.seed,
+        seed=_seed(args),
         strategy=_strategy(args),
         variant_factor=factor if factor != 1 else Fraction("1.03"),
     )
@@ -180,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default=None, help="output file (default stdout)")
 
     sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--seed", type=int, default=0, help="experiment seed (default 0)")
+    sampling.add_argument("--seed", type=int, default=None, help="experiment seed (default 0)")
     sampling.add_argument("--trials", type=int, default=None, help="trials per size (default: scaled 10..10000)")
 
     strategy = argparse.ArgumentParser(add_help=False)

@@ -33,7 +33,7 @@ use as the reference for the member sum. It tracks, per pending
 element, only the number of settled elements in each partner gap:
 branches that agree on those counts behave identically from then on and
 are collapsed, with leaf multiplicities carried along, and each
-collapsed state is memoized under ``(q, strategy)``.
+collapsed state is memoized in ``_COST_CACHE`` under ``(q, strategy)``.
 
 The per-sort average F(n) follows the halving recurrence
 F(n) = floor(n/2) + F(floor(n/2)) + G(ceil(n/2)), where G(m) sums the
@@ -99,13 +99,12 @@ class PathCount:
 _COST_CACHE: dict[tuple[tuple[int, ...], Strategy], tuple[int, int]] = {}
 
 
-def _cost(q: tuple[int, ...], strategy: Strategy, memo: dict | None) -> tuple[int, int]:
+def _cost(q: tuple[int, ...], strategy: Strategy) -> tuple[int, int]:
     if not q:
         return (0, 1)
-    if memo is not None:
-        hit = memo.get((q, strategy))
-        if hit is not None:
-            return hit
+    hit = _COST_CACHE.get((q, strategy))
+    if hit is not None:
+        return hit
     r = len(q)
     depths = decision_depths(r - 1 + sum(q), strategy)
     path = 0
@@ -116,20 +115,29 @@ def _cost(q: tuple[int, ...], strategy: Strategy, memo: dict | None) -> tuple[in
         # dropped because its partner leaves the relevant chain
         gaps = count + 1
         child = q[:s] + (gaps,) + q[s + 1 : r - 1] if s < r - 1 else q[: r - 1]
-        child_path, child_leaves = _cost(child, strategy, memo)
+        child_path, child_leaves = _cost(child, strategy)
         path += gaps * child_path + child_leaves * sum(depths[index : index + gaps])
         leaves += gaps * child_leaves
         index += gaps
-    result = (path, leaves)
-    if memo is not None:
-        memo[(q, strategy)] = result
+    result = _COST_CACHE[(q, strategy)] = (path, leaves)
     return result
 
 
 def cost_insert(state: InsertionState, strategy: Strategy = Strategy.LEFT) -> PathCount:
     """Path length and leaf count for inserting all pending elements."""
-    path, leaves = _cost(state.q, strategy, _COST_CACHE)
+    path, leaves = _cost(state.q, strategy)
     return PathCount(path, leaves)
+
+
+def _urn_step(law: list[int], below: int, gaps: int) -> list[int]:
+    """One Pólya draw into ``gaps`` gaps, ``below + n`` of them below the
+    tracked element while ``law[n]`` holds; a draw there moves n up by one."""
+    nxt = [0] * (len(law) + 1)
+    for n, v in enumerate(law):
+        b = below + n
+        nxt[n] += v * (gaps - b)
+        nxt[n + 1] += v * b
+    return nxt
 
 
 def _rank_law(s: int, i: int) -> tuple[list[list[int]], int]:
@@ -154,16 +162,8 @@ def _rank_law(s: int, i: int) -> tuple[list[list[int]], int]:
         law = [1]
         for j in range(s + 1, i):
             gaps = 2 * j - 1
-            if s + j <= c:
-                law = [0] + [v * gaps for v in law]
-                continue
-            nxt = [0] * (len(law) + 1)
             # law[N] has c + N gaps below the element
-            for n, v in enumerate(law):
-                below = c + n
-                nxt[n] += v * (gaps - below)
-                nxt[n + 1] += v * below
-            law = nxt
+            law = [0] + [v * gaps for v in law] if s + j <= c else _urn_step(law, c, gaps)
         cdfs.append(list(accumulate(law)))
     cdfs.append([0] * lower + [den])
     columns = [[cdfs[c][x] - (cdfs[c + 1][x - 1] if x else 0) for c in range(old + 1)] for x in range(lower + 1)]
@@ -182,15 +182,7 @@ def _urn(s: int, i: int):
     gaps = 2 * i
     while True:
         yield tuple(map(sum, zip(*columns))), den
-        grown = []
-        for x, column in enumerate(columns):
-            nxt = [0] * (len(column) + 1)
-            for pos, v in enumerate(column):
-                below = pos + x + 1
-                nxt[pos] += v * (gaps - below)
-                nxt[pos + 1] += v * below
-            grown.append(nxt)
-        columns = grown
+        columns = [_urn_step(column, x + 1, gaps) for x, column in enumerate(columns)]
         den *= gaps
         gaps += 1
 

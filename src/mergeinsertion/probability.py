@@ -10,8 +10,8 @@ down. Everything here is evaluated in exact rational arithmetic:
   partners counted as x's).
 * ``p_Y``:  into how many chain elements a batch member is inserted.
 * ``p_Y_recurrence``:  the helper variable behind p_Y, counting how many
-  of the next q batch members settle below a given partner, evaluated
-  by its two-term recurrence.
+  of the next q batch members settle below a given partner, read from
+  the row j = 0..q that its two-term recurrence builds (``_y_tilde``).
 
 Factorials overflow machine words almost immediately, so all mass
 functions return ``fractions.Fraction``.
@@ -27,7 +27,6 @@ from math import factorial
 from .sorter import batch_bound
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def batch_width(k: int) -> int:
@@ -82,16 +81,16 @@ def p_Y(k: int, i: int, j: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _y_tilde(T: int, q: int, j: int) -> Fraction:
-    # T = t(k-1) + i is all the recurrence ever depends on
-    if j < 0 or j > q:
-        return _ZERO
-    if q == 0:
-        return _ONE
-    den = 2 * T + 2 * q - 1
-    below = Fraction(2 * T + j - 1, den)
-    above = Fraction(2 * q - j - 1, den)
-    return below * _y_tilde(T, q - 1, j - 1) + above * _y_tilde(T, q - 1, j)
+def _y_tilde(T: int, q: int) -> tuple[Fraction, ...]:
+    """The Ỹ row j = 0..q by its two-term recurrence, built forward from
+    q = 0 in integers over one denominator; T = t(k-1) + i is all the
+    recurrence ever depends on."""
+    row, den = [1], 1
+    for level in range(1, q + 1):
+        padded = [0] + row + [0]
+        row = [(2 * T + j - 1) * padded[j] + (2 * level - j - 1) * padded[j + 1] for j in range(level + 1)]
+        den *= 2 * T + 2 * level - 1
+    return tuple(Fraction(v, den) for v in row)
 
 
 def _y_tilde_closed(T: int, q: int, j: int) -> Fraction:
@@ -106,7 +105,7 @@ def _y_tilde_closed(T: int, q: int, j: int) -> Fraction:
 
 def p_Y_recurrence(k: int, i: int, q: int, j: int) -> Fraction:
     """Probability that j of the next q batch members settle below the
-    partner of member i, via the two-term recurrence.
+    partner of member i: entry j of the recurrence row ``_y_tilde``.
 
     For q = 0 this is 1 at j = 0 and 0 elsewhere; j outside 0..q has no
     mass. Shifting by 2 t(k-1) + i - 1 at q = t(k) - t(k-1) - i
@@ -115,14 +114,9 @@ def p_Y_recurrence(k: int, i: int, q: int, j: int) -> Fraction:
     _check_member(k, i)
     if q < 0:
         raise ValueError("q must be non-negative")
-    T = batch_bound(k - 1) + i
-    # fill the memo bottom-up over the cone below (q, j) so the recursion
-    # never runs more than one level deep, whatever q is
-    for level in range(1, q):
-        lo = max(0, j - (q - level))
-        for jj in range(lo, min(level, j) + 1):
-            _y_tilde(T, level, jj)
-    return _y_tilde(T, q, j)
+    if not 0 <= j <= q:
+        return _ZERO
+    return _y_tilde(batch_bound(k - 1) + i, q)[j]
 
 
 def mean_Y(k: int, i: int) -> Fraction:

@@ -303,9 +303,7 @@ def one_two_insertion(
     so most elements go in singly. The prefix may be a PosSequence or
     any sorted iterable.
     """
-    prefix_items = (
-        sorted_prefix.to_list() if isinstance(sorted_prefix, PosSequence) else list(sorted_prefix)
-    )
+    prefix_items = list(sorted_prefix)
     rest = list(rest)
     _require_distinct(prefix_items + rest)
     chain = PosSequence.from_items(prefix_items)

@@ -128,21 +128,15 @@ def binary_insert(
 def decision_depths(m: int, strategy: Strategy) -> tuple[int, ...]:
     """Comparison count for each of the m + 1 gaps of an m-candidate insertion.
 
-    The depths take at most two consecutive values; exactly
+    Built by the pivot rule itself: with c = pivot_index(m, strategy), the
+    first c gaps are those of the c - 1 candidates below the pivot and the
+    rest those of the m - c above it, each one comparison deeper. The
+    depths take at most two consecutive values; exactly
     2^ceil(log2(m+1)) - (m+1) gaps get the shorter one.
     """
     if m < 0:
         raise ValueError("candidate count must be non-negative")
-    depths = []
-    for gap in range(m + 1):
-        n, g, used = m, gap, 0
-        while n > 0:
-            c = pivot_index(n, strategy)
-            used += 1
-            if g < c:
-                n = c - 1
-            else:
-                g -= c
-                n -= c
-        depths.append(used)
-    return tuple(depths)
+    if m == 0:
+        return (0,)
+    c = pivot_index(m, strategy)
+    return tuple(d + 1 for d in decision_depths(c - 1, strategy) + decision_depths(m - c, strategy))

@@ -10,6 +10,8 @@ import statistics
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from mergeinsertion import (
     InsertionState,
     Schedule,
@@ -133,7 +135,7 @@ def test_c04_recurrence_equals_closed_form():
         for i in range(1, width + 1):
             for q in range(0, width - i + 1):
                 for j in range(0, q + 1):
-                    assert _y_tilde(t + i, q, j) == _y_tilde_closed(t + i, q, j), (k, i, q, j)
+                    assert _y_tilde(t + i, q)[j] == _y_tilde_closed(t + i, q, j), (k, i, q, j)
     print("PASS 4: length-helper recurrence equals its closed form for every k <= 7")
 
 
@@ -190,6 +192,7 @@ def test_c08_monte_carlo_agreement():
     )
 
 
+@pytest.mark.slow
 def test_c09_left_beats_right():
     trials = 1000
     for n in (1 << 10, 1 << 11, 1 << 12):
@@ -208,6 +211,7 @@ def test_c09_left_beats_right():
         print(f"PASS 9 (n={n}): left beats right by {gain / n:.5f} per element, z={z:.1f}")
 
 
+@pytest.mark.slow
 def test_c10_factor_improvement():
     n, trials = 21845, 200
     plain, stretched = paired_counts(
@@ -225,6 +229,7 @@ def test_c10_factor_improvement():
     print(f"PASS 10: factor 1.03 saves {gain / n:.5f} comparisons per element at n={n} (z={z:.1f})")
 
 
+@pytest.mark.slow
 def test_c11_combined_algorithm():
     n_switch = combined_prefix_size(10922)
     assert n_switch == 10922

@@ -12,12 +12,14 @@ from mergeinsertion import (
     frac_log2_3n,
     lower_bound_log_factorial,
     numeric_upper_bound_F,
+    p_Y,
     t_ins,
     t_ins_avg,
     worst_case_W,
 )
 from mergeinsertion.bounds import _binomial_approx_p_exact
 from mergeinsertion.probability import distribution_Y
+from mergeinsertion.sorter import batch_bound
 
 
 def test_uniform_insertion_cost_values():
@@ -43,9 +45,21 @@ def test_member_cost_below_batch_limit():
     for k in range(2, 10):
         for i in range(1, batch_width(k) + 1):
             assert t_ins(i, k) <= k + 1e-12
-    # k = 10 sampled: the full sweep is slow but the bound must still hold
-    for i in list(range(1, batch_width(10) + 1, 16)) + [batch_width(10)]:
+    for i in range(1, batch_width(10) + 1):
         assert t_ins(i, 10) <= 10 + 1e-12
+
+
+def test_member_cost_equals_sum_over_length_distribution():
+    # reference: the mean of t_ins_avg(Y + 1) summed term by term over the
+    # exact p_Y. t_ins takes its Ỹ row from float log-factorials instead,
+    # whose rounding grows with the batch (1.5e-12 relative at k = 8)
+    for k in range(2, 9):
+        t = batch_bound(k - 1)
+        for i in range(1, batch_width(k) + 1):
+            reference = 0.0
+            for j in range(2 * t + i - 1, 1 << k):
+                reference += float(p_Y(k, i, j)) * t_ins_avg(j + 1)
+            assert t_ins(i, k) == pytest.approx(reference, rel=1e-11, abs=1e-12), (k, i)
 
 
 @pytest.mark.parametrize("i, k", [(0, 3), (3, 3), (100, 3), (1, 1), (1, 0)])
@@ -165,6 +179,7 @@ def test_fractional_abscissa():
         assert math.isclose(2 ** (e + x), 3 * n, rel_tol=1e-12)
 
 
+@pytest.mark.slow
 def test_empirical_mean_below_upper_bound():
     from mergeinsertion import ExperimentConfig, run_experiment
 

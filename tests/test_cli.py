@@ -168,6 +168,8 @@ BAD_ARGUMENTS = {
         ("count", "--n", "4", "--exhaustive", "--trials", "3"),
         "exhaustive mode enumerates all n! permutations; it takes no trial count",
     ),
+    "count-exhaustive-with-seed": (("count", "--n", "4", "--exhaustive", "--seed", "5"), "it takes no --seed"),
+    "count-exhaustive-with-seed-0": (("count", "--n", "4", "--exhaustive", "--seed", "0"), "it takes no --seed"),
 }
 
 

@@ -105,12 +105,19 @@ def test_average_times_factorial_is_integral():
         assert scaled.denominator == 1
 
 
-def test_memoization_transparent():
-    for q in ((2,), (4, 1), (2, 0, 1), (6, 0, 0)):
-        cached = _cost(q, Strategy.LEFT, {})
-        uncached = _cost(q, Strategy.LEFT, None)
-        assert cached == uncached
-        assert cost_insert(InsertionState(q)) == PathCount(*cached)
+def test_memoization_transparent(fresh_tree_cache):
+    # each state costed from a cleared cache equals its cost from one warm
+    # cache that every state and its subtrees went into, largest first
+    states = ((2,), (4, 1), (2, 0, 1), (6, 0, 0))
+    cold = {}
+    for q in states:
+        exact_analysis._COST_CACHE.clear()
+        cold[q] = _cost(q, Strategy.LEFT)
+    exact_analysis._COST_CACHE.clear()
+    warm = {q: _cost(q, Strategy.LEFT) for q in reversed(states)}
+    assert warm == cold
+    for q in states:
+        assert cost_insert(InsertionState(q)) == PathCount(*cold[q])
 
 
 def test_single_insertion_into_a_long_chain():

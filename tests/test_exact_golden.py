@@ -117,7 +117,7 @@ def test_scaled_averages_match_golden(strategy):
 
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_state_costs_match_golden(strategy):
-    got = {q: _cost(q, strategy, {}) for q in STATES}
+    got = {q: _cost(q, strategy) for q in STATES}
     assert got == EXPECTED_COST[strategy.value]
 
 
@@ -146,6 +146,6 @@ if __name__ == "__main__":
     for strategy in Strategy:
         print(f"    {strategy.value!r}: {{")
         for q in STATES:
-            print(f"        {q!r}: {_cost(q, strategy, {})!r},")
+            print(f"        {q!r}: {_cost(q, strategy)!r},")
         print("    },")
     print("}")

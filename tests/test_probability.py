@@ -101,7 +101,7 @@ def test_recurrence_equals_closed_form_small():
         for i in range(1, batch_width(k) + 1):
             for q in range(0, batch_width(k) - i + 1):
                 for j in range(0, q + 1):
-                    assert _y_tilde(t + i, q, j) == _y_tilde_closed(t + i, q, j)
+                    assert _y_tilde(t + i, q)[j] == _y_tilde_closed(t + i, q, j)
 
 
 def test_length_is_shifted_helper():

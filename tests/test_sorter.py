@@ -185,6 +185,16 @@ def test_one_two_empty_rest():
     assert outcome.comparisons == 0
 
 
+def test_one_two_multi_block_prefix():
+    # a PosSequence prefix of several blocks reads like the same items in a list
+    prefix = PosSequence.from_items(range(0, 3000, 2))
+    assert len(prefix) == 1500 and len(prefix._blocks) > 1
+    rest = [2999, 1, 1501, 777, -1, 2001]
+    outcome = one_two_insertion(prefix, rest)
+    assert outcome.items == sorted(list(range(0, 3000, 2)) + rest)
+    assert outcome == one_two_insertion(list(range(0, 3000, 2)), rest)
+
+
 def test_one_two_single_element():
     outcome = one_two_insertion([1, 3], [2])
     assert outcome.items == [1, 2, 3]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -41,6 +42,20 @@ def test_two_layer_property_all_strategies():
             short_expected = (1 << long) - (m + 1)
             assert set(depths) <= {long - 1, long}
             assert sum(1 for d in depths if d == long - 1) == short_expected
+
+
+@pytest.mark.parametrize("m", [4095, 4096, 4097, 65535, 65536])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_depths_match_binary_insert_on_long_chains(strategy, m):
+    # the first and last 50 gaps and 200 seeded ones, replayed by the sorter's search
+    chain = PosSequence.from_items([2 * v for v in range(m)])
+    depths = decision_depths(m, strategy)
+    assert len(depths) == m + 1
+    gaps = set(range(50)) | set(range(m - 49, m + 1)) | set(random.Random(m).sample(range(m + 1), 200))
+    for gap in sorted(gaps):
+        tally = Tally()
+        assert binary_insert(2 * gap - 1, chain, 0, m, strategy, tally) == gap
+        assert tally.count == depths[gap], gap
 
 
 def test_short_leaf_placement():
