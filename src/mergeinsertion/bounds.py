@@ -5,6 +5,10 @@ insertion-length distributions with the uniform-gap insertion cost
 T_InsAvg(m) = ceil(log m) + 1 - 2^ceil(log m) / m, which bounds the real
 cost from above because landing probabilities never increase from left
 to right and the left strategy puts the short decision paths there.
+Each member's Ỹ row is evaluated in floats from log-factorials: every
+term is a contiguous slice of one grown-on-demand ln(i!) table, so a row
+costs a few vector passes and no index arrays, and a batch's T_InsAvg
+weights are built once and shared by its members as suffixes.
 Closed forms: the worst case W(n), the average-case linear-term curve
 c(x) with its 1.4005 floor, a binomial stand-in for the insertion-length
 distribution, and the log2(n!) information-theoretic floor.
@@ -24,8 +28,11 @@ from .probability import _check_member, batch_width
 
 LOG2_3 = math.log2(3.0)
 
-_LN2 = math.log(2.0)
+# np.exp is exactly 0.0 at and below this (float64 underflows near -745.13),
+# and arguments that underflow take its slow path
+_EXP_ZERO = -750.0
 _log_fact = np.zeros(1)
+_j_ln2 = np.zeros(1)
 
 
 def _log_fact_table(n: int) -> np.ndarray:
@@ -35,6 +42,14 @@ def _log_fact_table(n: int) -> np.ndarray:
         size = max(n + 1, 2 * len(_log_fact))
         _log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
     return _log_fact
+
+
+def _j_ln2_table(n: int) -> np.ndarray:
+    """j ln 2 for j = 0..n, grown on demand."""
+    global _j_ln2
+    if n >= len(_j_ln2):
+        _j_ln2 = np.arange(max(n + 1, 2 * len(_j_ln2))) * math.log(2.0)
+    return _j_ln2
 
 
 def t_ins_avg(m: int) -> float:
@@ -51,36 +66,49 @@ def t_ins(i: int, k: int) -> float:
     insertion-length distribution, evaluated as the per-member term that
     ``_batch_cost_bound`` sums for a full batch."""
     _check_member(k, i)
-    return _member_cost_bound(batch_bound(k - 1), i, batch_width(k) - i)
+    t_prev = batch_bound(k - 1)
+    return _member_cost_bound(_cost_weights(t_prev, batch_bound(k)), t_prev, i)
 
 
 def _y_tilde_row(T: int, q: int) -> np.ndarray:
-    """P(j of the next q members settle below partner T - t(k-1)), j = 0..q."""
+    """P(j of the next q members settle below partner T - t(k-1)), j = 0..q.
+
+    Each log-factorial term is one contiguous slice of ``_log_fact``,
+    reversed where its argument falls as j grows, added into one buffer
+    in a fixed order. Only the entries above ``_EXP_ZERO`` are
+    exponentiated; the tails below it stay exactly 0."""
     lf = _log_fact_table(2 * T + 2 * q)
-    j = np.arange(q + 1)
-    logp = (
-        lf[2 * q - j]
-        - lf[j]
-        - lf[q - j]
-        + j * _LN2
-        + lf[2 * T + j - 1]
-        - lf[2 * T + 2 * q - 1]
-        + lf[T + q - 1]
-        - lf[T - 1]
-    )
-    return np.exp(logp)
+    logp = np.subtract(lf[2 * q : q - 1 if q else None : -1], lf[: q + 1])  # ln (2q-j)! - ln j!
+    logp -= lf[q::-1]  # ln (q-j)!
+    logp += _j_ln2_table(q)[: q + 1]
+    logp += lf[2 * T - 1 : 2 * T + q]  # ln (2T+j-1)!
+    logp -= lf[2 * T + 2 * q - 1]
+    logp += lf[T + q - 1]
+    logp -= lf[T - 1]
+    live = logp > _EXP_ZERO  # [lo, hi) spans every live entry
+    lo, hi = live.argmax(), q + 1 - live[::-1].argmax()
+    row = np.zeros(q + 1)
+    np.exp(logp[lo:hi], out=row[lo:hi])
+    return row
 
 
-def _member_cost_bound(t_prev: int, i: int, q: int) -> float:
-    """Mean of T_InsAvg(Y + 1) for member b_(t_prev+i) with q members
-    inserted above it, Y = 2 t_prev + i - 1 + Ỹ. Every gap count m lies
-    in (2 t_prev, 2^k], with k the bit length of 2 t_prev, so
+def _cost_weights(t_prev: int, top: int) -> np.ndarray:
+    """T_InsAvg(m) for m = 2 t_prev + 1 .. t_prev + top, the gap counts
+    of batch members b_(t_prev+1) .. b_top. Every such m lies in
+    (2 t_prev, 2^k], with k the bit length of 2 t_prev, so
     T_InsAvg(m) = k + 1 - 2^k / m there."""
     k = (2 * t_prev).bit_length()
-    base = 2 * t_prev + i - 1
-    probs = _y_tilde_row(t_prev + i, q)
-    sizes = np.arange(base + 1, base + q + 2, dtype=np.float64)
-    return float(probs @ (k + 1.0 - np.exp2(k) / sizes))
+    sizes = np.arange(2 * t_prev + 1, t_prev + top + 1, dtype=np.float64)
+    return k + 1.0 - np.exp2(k) / sizes
+
+
+def _member_cost_bound(weights: np.ndarray, t_prev: int, i: int) -> float:
+    """Mean of T_InsAvg(Y + 1) for member b_(t_prev+i) of the batch whose
+    ``_cost_weights`` are ``weights``, with the q = len(weights) - i
+    members after it inserted above it: Y = 2 t_prev + i - 1 + Ỹ, and the
+    suffix of ``weights`` from index i - 1 holds T_InsAvg(Y + 1) for
+    Ỹ = 0..q."""
+    return float(_y_tilde_row(t_prev + i, len(weights) - i) @ weights[i - 1 :])
 
 
 @lru_cache(maxsize=None)
@@ -91,9 +119,10 @@ def _batch_cost_bound(t_prev: int, top: int) -> float:
     top - t_prev - i elements inserted above it, which shortens the
     helper distribution instead of reusing the full-batch one.
     """
+    weights = _cost_weights(t_prev, top)
     total = 0.0
     for i in range(1, top - t_prev + 1):
-        total += _member_cost_bound(t_prev, i, top - t_prev - i)
+        total += _member_cost_bound(weights, t_prev, i)
     return total
 
 

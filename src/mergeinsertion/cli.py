@@ -114,10 +114,17 @@ def cmd_exact(args) -> int:
     return 0
 
 
+# dist tables have 2^k rows; at k = 14 the y table takes ~3 s, x ~14 s and
+# mean ~100 s, and each step up multiplies these by 4 to 7
+DIST_K_MAX = 14
+
+
 def cmd_dist(args) -> int:
     k = args.k
     if k < 2:
         raise ValueError("batch index --k must be at least 2")
+    if k > DIST_K_MAX:
+        raise ValueError(f"batch index --k must be at most {DIST_K_MAX}: the table has 2^k rows")
     width = probability.batch_width(k)
     if args.var == "mean":
         if args.i:
@@ -237,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("dist", parents=[out], help="exact insertion distributions for one batch")
-    p.add_argument("--k", type=int, required=True, help="batch index (>= 2)")
+    p.add_argument("--k", type=int, required=True, help=f"batch index, 2..{DIST_K_MAX}")
     p.add_argument("--var", default="y", choices=["y", "x", "mean"], help="table to emit")
     p.add_argument("--i", type=int, action="append", help="batch member index (repeatable)")
     p.set_defaults(func=cmd_dist)

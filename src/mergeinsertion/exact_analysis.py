@@ -17,8 +17,8 @@ which splits the joint law of (Z, C, W) into three exact parts:
 
 * the lower members fix the law of (C, X), X being the lower members
   below b_i, so R = C + X is b_i's rank below a_i (``_rank_law``);
-* Z follows the Ỹ law ``probability._y_tilde_closed(i, e - i, z)`` and
-  does not depend on (C, X);
+* Z follows the Ỹ law, the row ``probability._y_tilde_terms(i, e - i)``,
+  and does not depend on (C, X);
 * given Z = z, each higher member lands below b_i with probability
   (rank + 1) / (gaps below a_i), a Pólya urn run one member at a time
   (``_position_law``).
@@ -48,7 +48,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .probability import _y_tilde_closed
+from .probability import _y_tilde_terms
 from .sorter import DEFAULT_SCHEDULE
 from .strategies import Strategy, decision_depths
 
@@ -228,9 +228,9 @@ def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
         raise ValueError("batch end must not precede its start")
     return sum(
         (
-            _y_tilde_closed(i, e - i, z) * _member_cost(s, i, z, strategy)
+            weight * _member_cost(s, i, z, strategy)
             for i in range(s + 1, e + 1)
-            for z in range(e - i + 1)
+            for z, weight in enumerate(_y_tilde_terms(i, e - i))
         ),
         Fraction(0),
     )

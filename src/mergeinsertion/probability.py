@@ -14,7 +14,13 @@ down. Everything here is evaluated in exact rational arithmetic:
   the row j = 0..q that its two-term recurrence builds (``_y_tilde``).
 
 Factorials overflow machine words almost immediately, so all mass
-functions return ``fractions.Fraction``.
+functions return ``fractions.Fraction``. The point functions evaluate
+their closed forms; the whole-column tables (``distribution_X``,
+``distribution_Y`` and the Ỹ rows behind ``exact_analysis.cost``) take
+one closed-form value and reach every other entry by its exact term
+ratio, a quotient of small integers, so a column costs one set of big
+factorials instead of one per entry. ``Fraction`` values are canonical,
+so either way gives the same numbers.
 """
 
 from __future__ import annotations
@@ -103,6 +109,17 @@ def _y_tilde_closed(T: int, q: int, j: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _y_tilde_terms(T: int, q: int) -> list[Fraction]:
+    """The Ỹ row j = 0..q from ``_y_tilde_closed(T, q, 0)`` and the term
+    ratio p(j+1) / p(j) = 2 (2T + j)(q - j) / ((2q - j)(j + 1))."""
+    p = _y_tilde_closed(T, q, 0)
+    row = [p]
+    for j in range(q):
+        p *= Fraction(2 * (2 * T + j) * (q - j), (2 * q - j) * (j + 1))
+        row.append(p)
+    return row
+
+
 def p_Y_recurrence(k: int, i: int, q: int, j: int) -> Fraction:
     """Probability that j of the next q batch members settle below the
     partner of member i: entry j of the recurrence row ``_y_tilde``.
@@ -178,19 +195,26 @@ class DistTable:
 
 
 def distribution_X(k: int, i: int) -> DistTable:
+    """The ``p_X`` column of member i: flat up to gap 2 t(k-1), then
+    p(j+1) / p(j) = (2j - 2t + 1) / (2 (j - t + 1)) up to gap 2 t + i - 1,
+    t = t(k-1), and zero above."""
     _check_member(k, i)
-    support = range(0, 1 << k)
-    flat = 2 * batch_bound(k - 1)  # p_X does not depend on j up to here
-    mass = dict.fromkeys(range(flat + 1), p_X(k, i, flat))
-    mass.update((j, p_X(k, i, j)) for j in range(flat + 1, 1 << k))
-    return DistTable("X", k, i, None, support, mass)
+    t = batch_bound(k - 1)
+    p = p_X(k, i, 2 * t)
+    mass = dict.fromkeys(range(2 * t + 1), p)
+    for j in range(2 * t, 2 * t + i - 1):
+        p *= Fraction(2 * j - 2 * t + 1, 2 * (j - t + 1))
+        mass[j + 1] = p
+    mass.update(dict.fromkeys(range(2 * t + i, 1 << k), _ZERO))
+    return DistTable("X", k, i, None, range(0, 1 << k), mass)
 
 
 def distribution_Y(k: int, i: int) -> DistTable:
+    """The ``p_Y`` column of member i: the Ỹ row shifted by 2 t(k-1) + i - 1."""
     _check_member(k, i)
     t = batch_bound(k - 1)
     support = range(2 * t + i - 1, 1 << k)
-    mass = {j: p_Y(k, i, j) for j in support}
+    mass = dict(zip(support, _y_tilde_terms(t + i, batch_bound(k) - t - i)))
     return DistTable("Y", k, i, None, support, mass)
 
 

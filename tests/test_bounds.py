@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mergeinsertion import (
@@ -17,7 +18,8 @@ from mergeinsertion import (
     t_ins_avg,
     worst_case_W,
 )
-from mergeinsertion.bounds import _binomial_approx_p_exact
+from mergeinsertion import bounds
+from mergeinsertion.bounds import _batch_cost_bound, _binomial_approx_p_exact, _y_tilde_row
 from mergeinsertion.probability import distribution_Y
 from mergeinsertion.sorter import batch_bound
 
@@ -60,6 +62,52 @@ def test_member_cost_equals_sum_over_length_distribution():
             for j in range(2 * t + i - 1, 1 << k):
                 reference += float(p_Y(k, i, j)) * t_ins_avg(j + 1)
             assert t_ins(i, k) == pytest.approx(reference, rel=1e-11, abs=1e-12), (k, i)
+
+
+def fancy_index_y_tilde_row(T, q):
+    """The float Ỹ row with every log-factorial term gathered through an
+    index array, exponentiated whole: the reference for ``_y_tilde_row``."""
+    lf = bounds._log_fact_table(2 * T + 2 * q)
+    j = np.arange(q + 1)
+    logp = (
+        lf[2 * q - j]
+        - lf[j]
+        - lf[q - j]
+        + j * math.log(2.0)
+        + lf[2 * T + j - 1]
+        - lf[2 * T + 2 * q - 1]
+        + lf[T + q - 1]
+        - lf[T - 1]
+    )
+    return np.exp(logp)
+
+
+def test_slice_row_is_bit_identical_to_fancy_index_row():
+    for T in (1, 2, 3, 6, 44, 171, 1366):
+        for q in (0, 1, 2, 5, 64, 683, 2000):
+            assert np.array_equal(_y_tilde_row(T, q), fancy_index_y_tilde_row(T, q)), (T, q)
+    # a row past the end of the ln(i!) table, whose far tails underflow
+    size = len(bounds._log_fact)
+    T, q = size // 2, size // 4
+    row = _y_tilde_row(T, q)
+    assert len(bounds._log_fact) > 2 * T + 2 * q >= size
+    assert row[0] == 0.0 and row.max() > 0.0
+    assert np.array_equal(row, fancy_index_y_tilde_row(T, q))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 11])
+def test_batch_cost_bound_equals_member_sum_with_own_sizes(k):
+    # full and truncated batches: each member dots its own row with its
+    # own gap counts 2 t_prev + i .. t_prev + top, summed left to right
+    t_prev = batch_bound(k - 1)
+    g = (2 * t_prev).bit_length()
+    for top in sorted({t_prev + 1, t_prev + 2, (t_prev + batch_bound(k)) // 2, batch_bound(k)}):
+        reference = 0.0
+        for i in range(1, top - t_prev + 1):
+            q = top - t_prev - i
+            sizes = np.arange(2 * t_prev + i, 2 * t_prev + i + q + 1, dtype=np.float64)
+            reference += float(fancy_index_y_tilde_row(t_prev + i, q) @ (g + 1.0 - np.exp2(g) / sizes))
+        assert _batch_cost_bound(t_prev, top) == reference, (t_prev, top)
 
 
 @pytest.mark.parametrize("i, k", [(0, 3), (3, 3), (100, 3), (1, 1), (1, 0)])

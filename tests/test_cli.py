@@ -154,6 +154,8 @@ BAD_ARGUMENTS = {
     "compare-negative-trials": (("compare-algos", "--n", "10", "--trials", "-1"), "trials must be at least 1"),
     "dist-mean-k1": (("dist", "--k", "1", "--var", "mean"), "--k must be at least 2"),
     "dist-y-k0": (("dist", "--k", "0", "--var", "y"), "--k must be at least 2"),
+    "dist-x-k40": (("dist", "--k", "40", "--var", "x"), "--k must be at most 14"),
+    "dist-mean-k15": (("dist", "--k", "15", "--var", "mean"), "--k must be at most 14"),
     "exact-negative-n-max": (("exact", "--n-max", "-3"), "--n-max must be at least 1"),
     "exact-zero-n-max": (("exact", "--n-max", "0"), "--n-max must be at least 1"),
     "dist-y-member-too-large": (("dist", "--k", "2", "--var", "y", "--i", "5"), "member index i=5"),

@@ -29,6 +29,9 @@ TABLE_CASES = {
     "dist-y": ("dist", "--k", "7", "--var", "y"),
     "dist-x": ("dist", "--k", "7", "--var", "x"),
     "dist-mean": ("dist", "--k", "7", "--var", "mean"),
+    "bound-log-range-large": ("bound", "--log-range", "64", "32768", "9"),
+    "dist-y-k10": ("dist", "--k", "10", "--var", "y"),
+    "dist-x-k10": ("dist", "--k", "10", "--var", "x"),
     "exact": ("exact", "--n-max", "30"),
     "count": ("count", "--n", "100,1000", "--trials", "5"),
     "count-exhaustive": ("count", "--n", "6", "--exhaustive"),
@@ -41,6 +44,9 @@ TABLE_DIGESTS = {
     "dist-y": "25d96a9a232ebdd51442df12a22c2d453f3f18d0956dc419a42aabb5ee58041d",
     "dist-x": "2835e8415c4812e93b1cd5438bb6ad827f154ce81248d327cb176e15f424ae3a",
     "dist-mean": "96f2b083e6a94d44b4aeef17afce54206c9831b08146e274c14ad22b8bca5422",
+    "bound-log-range-large": "cbc8f2e2cee04ca13579623ba7cb667cea43965c5a0fbe46d77be07e28c08f06",
+    "dist-y-k10": "be31ee20178b2760c5788f4d14f10d63d54720528702cfa3ce6797a36ac784ac",
+    "dist-x-k10": "73c69562a64d8d5bd3c84a8da75f69d0109d1c30a4761d0f5ac789c8423cdcd3",
     "exact": "c15c7cc82801c83d41b4b72bf4f23456c28c06375d735f7bd2d02cb09e730458",
     "count": "2f43c4f1877d63973d5342d00fdb8f2737d6e14b46beb710b52b2df4bc6f12b3",
     "count-exhaustive": "2666cd49ef46d55ac4fc5ba1ca58e0d62b3217260b16f481a15ba1be2b4f0732",

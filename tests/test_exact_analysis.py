@@ -16,7 +16,8 @@ from mergeinsertion import (
     numeric_upper_bound_F,
     p_X,
 )
-from mergeinsertion.exact_analysis import _cost, _position_law, _rank_law
+from mergeinsertion.exact_analysis import _cost, _member_cost, _position_law, _rank_law
+from mergeinsertion.probability import _y_tilde_closed
 from mergeinsertion.sorter import DEFAULT_SCHEDULE, _t_ins_avg_exact, batch_bound
 from oracles import brute_cost, initial_segments
 
@@ -169,6 +170,23 @@ def test_member_sum_matches_tree_on_every_reached_batch(strategy, n_max, fresh_t
     for s, e in _reached_batches(n_max):
         state = InsertionState((2 * s,) + (0,) * (e - s - 1))
         assert cost(s, e, strategy) == cost_insert(state, strategy).average, (s, e)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.LEFT, Strategy.CENTER_RIGHT], ids=lambda v: v.value)
+def test_cost_equals_closed_form_sum_over_z(strategy):
+    # cost takes each member's Ỹ weights from one term-ratio row; the
+    # reference evaluates the closed form once per (i, z)
+    for e in range(1, 41):
+        for s in range(1, e + 1):
+            reference = sum(
+                (
+                    _y_tilde_closed(i, e - i, z) * _member_cost(s, i, z, strategy)
+                    for i in range(s + 1, e + 1)
+                    for z in range(e - i + 1)
+                ),
+                Fraction(0),
+            )
+            assert cost(s, e, strategy) == reference, (s, e)
 
 
 def test_member_laws_are_exact_distributions():

@@ -159,6 +159,15 @@ def test_dist_table_constructors():
     assert helper[99] == 0
 
 
+def test_term_ratio_columns_equal_point_closed_forms():
+    for k in range(2, 10):
+        for i in range(1, batch_width(k) + 1):
+            x, y = distribution_X(k, i), distribution_Y(k, i)
+            assert set(x.mass) == set(range(1 << k)) and set(y.mass) == set(y.support), (k, i)
+            assert all(x[j] == p_X(k, i, j) for j in range(1 << k)), (k, i)
+            assert all(y[j] == p_Y(k, i, j) for j in range(1 << k)), (k, i)
+
+
 def test_dist_tables_reject_bad_member():
     for build in (distribution_X, distribution_Y, lambda k, i: distribution_Y_tilde(k, i, 1)):
         with pytest.raises(ValueError, match="member index i=5"):
