@@ -32,7 +32,7 @@ from .sorter import (
     merge_insertion,
     one_two_insertion,
 )
-from .strategies import Strategy, Tally, binary_insert, decision_depths, pivot_index
+from .strategies import Strategy, Tally, binary_insert, decision_depths, gap_depth, pivot_index
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,7 @@ __all__ = [
     "Tally",
     "binary_insert",
     "decision_depths",
+    "gap_depth",
     "pivot_index",
     "Schedule",
     "SortOutcome",

@@ -114,7 +114,7 @@ def cmd_exact(args) -> int:
     return 0
 
 
-# dist tables have 2^k rows; at k = 14 the y table takes ~3 s, x ~14 s and
+# dist tables have 2^k rows; at k = 14 the y and x tables take ~3 s each and
 # mean ~100 s, and each step up multiplies these by 4 to 7
 DIST_K_MAX = 14
 

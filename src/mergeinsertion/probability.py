@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import factorial
 
 from .sorter import batch_bound
@@ -171,10 +172,14 @@ class DistTable:
     mass: dict
 
     def __post_init__(self) -> None:
-        total = sum(self.mass.values(), _ZERO)
+        # exact; a run of equal values (X's flat run, the zeros) is added
+        # once, times its length, since every Fraction addition pays two
+        # big gcds
+        runs = [(v, len(list(group))) for v, group in groupby(self.mass.values())]
+        total = sum((v * count for v, count in runs), _ZERO)
         if total != 1:
             raise ValueError(f"{self.kind} table mass sums to {total}, not 1")
-        if any(v < 0 for v in self.mass.values()):
+        if any(v < 0 for v, _ in runs):
             raise ValueError("negative probability mass")
 
     def __getitem__(self, j: int) -> Fraction:

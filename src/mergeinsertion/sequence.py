@@ -1,15 +1,17 @@
 """Positional sequence backed by a flat list of blocks.
 
-Items are addressed purely by zero-based position; the container never
-compares items. The items live in a list of blocks (plain lists), and
-``_starts[i]`` is the position of block i's first item. A lookup is one
-bisection of ``_starts``: ``block_at`` returns the block it lands in with
-that block's first position, so a reader probing nearby positions (a
-binary search) subscripts the block itself until a probe leaves it. An
-insertion is one in-block ``list.insert`` plus a bump of every later
-start, and a block is split in half once it outgrows a bound that grows
-like the square root of the size. No block is empty unless the whole
-sequence is.
+Items are addressed by zero-based position. The container compares
+items in one place only, ``bisect_right``, which finds a gap by native
+``<`` for callers whose order is the keys' own. The items live in a
+list of blocks (plain lists), and ``_starts[i]`` is the position of
+block i's first item. A lookup is one bisection of ``_starts``:
+``block_at`` returns the block it lands in with that block's first
+position, so a reader probing nearby positions (a binary search)
+subscripts the block itself until a probe leaves it. An insertion is
+one in-block ``list.insert`` plus a bump of every later start, and a
+block is split in half once it outgrows a bound that grows like the
+square root of the size. No block is empty unless the whole sequence
+is.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from math import isqrt
+from operator import itemgetter
 from typing import Any
 
 
@@ -27,6 +30,9 @@ def _block_bound(size: int) -> int:
     # and moves part of one block (a memmove), so blocks of ~16 sqrt(size)
     # items keep the two costs balanced
     return max(512, isqrt(size) << 4)
+
+
+_head = itemgetter(0)
 
 
 class PosSequence:
@@ -78,6 +84,33 @@ class PosSequence:
         starts = self._starts
         i = bisect_right(starts, pos) - 1
         return self._blocks[i], starts[i]
+
+    def bisect_right(self, x: Any, lo: int = 0, hi: int | None = None) -> int:
+        """Position in [lo, hi] after every item of self[lo:hi] that is not above ``x``.
+
+        Like ``bisect.bisect_right(self.to_list(), x, lo, hi)``: self[lo:hi]
+        must be sorted by native ``<``, and every test is ``x < item``. One
+        bisection of the block heads inside the range finds the block, a
+        second one searches that block. This is the only method that
+        compares items. Raises IndexError unless 0 <= lo <= hi <= len.
+        """
+        if hi is None:
+            hi = self._size
+        if not 0 <= lo <= hi <= self._size:
+            raise IndexError(f"invalid range [{lo}, {hi}) for length {self._size}")
+        if lo == hi:
+            return lo
+        starts, blocks = self._starts, self._blocks
+        first = bisect_right(starts, lo) - 1 if lo else 0
+        # the heads of blocks first+1 .. last-1 all lie inside [lo, hi)
+        last = bisect_right(starts, hi - 1, first)
+        i = bisect_right(blocks, x, first + 1, last, key=_head) - 1
+        block, start = blocks[i], starts[i]
+        # the part of block i inside the range: all of it, except in the
+        # blocks holding lo (block first) and hi - 1 (block last - 1)
+        b_lo = lo - start if i == first else 0
+        b_hi = hi - start if i == last - 1 else len(block)
+        return start + bisect_right(block, x, b_lo, b_hi)
 
     def insert(self, pos: int, item: Any) -> None:
         """Place ``item`` at ``pos``, shifting later items right by one.

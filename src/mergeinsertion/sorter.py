@@ -11,8 +11,12 @@ and a combined algorithm that runs the batched sort up to the nearest
 favourable size and hands the remainder to that insertion.
 
 Keys are opaque; the only way the algorithms learn about them is a
-strict-total-order ``less`` callback, and every call to it is counted
-exactly once. The recursion moves the keys themselves: each larger key
+strict-total-order ``less`` callback. A custom ``less`` is counted
+exactly once per call. The default, ``operator.lt``, lets each binary
+insertion find its gap by C bisection on the keys' native ``<`` and
+count the decision-tree depth of that gap (``strategies.gap_depth``):
+the comparisons the pivot walk would have made, so the counts are the
+same. The recursion moves the keys themselves: each larger key
 finds its smaller partner again by object identity, so keys must be
 distinct objects (and, when hashable, distinct values). The main chain
 is a PosSequence, addressed by position only.

@@ -5,8 +5,16 @@ leaves (the possible gaps) sit on at most two adjacent depth levels.
 Which gaps get the shorter paths is decided by the pivot rule: the
 classic midpoint rules (center-left, center-right) spread them around,
 while the skewed rules pack every short path at the low end (left) or
-the high end (right) of the range. Every element comparison is charged
-to a Tally, and nothing else ever touches the counter.
+the high end (right) of the range. Every insertion is charged to a
+Tally, and nothing else ever touches the counter.
+
+What is charged depends on the ``less`` given to ``binary_insert``.
+With the default ``operator.lt`` the keys' own order is the order, so
+the gap is found by C bisection (``PosSequence.bisect_right``) and the
+insertion is charged that gap's depth in the strategy's decision tree
+(``gap_depth``): exactly the comparisons the pivot walk would have
+made, since both test ``item < chain[i]``. Any other ``less`` drives the
+pivot walk itself, and every call to it is counted exactly once.
 """
 
 from __future__ import annotations
@@ -37,7 +45,11 @@ class Strategy(enum.Enum):
 
 
 class Tally:
-    """Monotone comparison counter; one increment per counted comparison."""
+    """Monotone comparison counter.
+
+    Under a custom ``less`` it grows by one per call; under the default
+    ``less`` by the decision-tree depth of each gap found, the same total.
+    """
 
     __slots__ = ("count",)
 
@@ -78,12 +90,20 @@ def binary_insert(
 ) -> int:
     """Position in [lo, hi] where ``item`` belongs within chain[lo:hi].
 
-    chain[lo:hi] must be sorted ascending and contain no key equal to
-    ``item``. Each pivot comparison adds one to ``tally``; inserting the
-    item at the returned position keeps the chain sorted.
+    chain[lo:hi] must be sorted ascending by ``less`` and contain no key
+    equal to ``item``; inserting the item at the returned position keeps
+    the chain sorted. ``tally`` grows by the comparisons the strategy's
+    pivot walk makes. With the default ``less`` none is made: the gap g
+    comes from ``chain.bisect_right`` and the tally grows by
+    ``gap_depth(hi - lo, g - lo, strategy)``, which is that same count.
+    Any other ``less`` is called once per pivot comparison.
     """
     if not 0 <= lo <= hi <= len(chain):
         raise IndexError(f"invalid range [{lo}, {hi}) for length {len(chain)}")
+    if less is operator.lt:
+        pos = chain.bisect_right(item, lo, hi)
+        tally.count += gap_depth(hi - lo, pos - lo, strategy)
+        return pos
     n = hi - lo
     skew_left = strategy is Strategy.LEFT
     center_left = strategy is Strategy.CENTER_LEFT
@@ -122,6 +142,34 @@ def binary_insert(
             n -= c
     tally.count += count
     return lo
+
+
+def gap_depth(m: int, g: int, strategy: Strategy) -> int:
+    """Comparisons an m-candidate insertion makes to end in gap g (0 <= g <= m).
+
+    Equal to ``decision_depths(m, strategy)[g]`` without building the
+    tuple. With d = m.bit_length() the depth is d - 1 or d. LEFT puts the
+    2^d - (m + 1) short gaps first and RIGHT puts them last; the center
+    rules are followed down the pivot walk, in integers, until the
+    candidates left number 2^j - 1, whose gaps all lie j deeper.
+    """
+    if strategy is Strategy.LEFT:
+        d = m.bit_length()
+        return d - 1 if g < (1 << d) - m - 1 else d
+    if strategy is Strategy.RIGHT:
+        d = m.bit_length()
+        return d - 1 if m - g < (1 << d) - m - 1 else d
+    extra = 1 if strategy is Strategy.CENTER_RIGHT else 0
+    depth = 0
+    while m & (m + 1):
+        c = (m + 1 + extra) >> 1
+        depth += 1
+        if g < c:
+            m = c - 1
+        else:
+            g -= c
+            m -= c
+    return depth + m.bit_length()
 
 
 @lru_cache(maxsize=None)

@@ -86,9 +86,10 @@ def test_sorts_reached_through_harness_globals(monkeypatch):
 
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_probes_read_chain_blocks(monkeypatch, strategy):
-    # binary_insert reads the chain through block_at, at most one call per
-    # insertion comparison, and never through get; the benchmark's
-    # sequence.get metrics and probes_per_insert count get calls
+    # with a custom less (as the traced sort-large run has), binary_insert
+    # reads the chain through block_at, at most one call per insertion
+    # comparison, and never through get; the benchmark's sequence.get
+    # metrics and probes_per_insert count get calls
     calls = {"get": 0, "block_at": 0, "less": 0}
 
     def counting(name, fn):

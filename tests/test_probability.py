@@ -183,3 +183,24 @@ def test_dist_table_rejects_bad_mass():
 
     with pytest.raises(ValueError):
         DistTable("Y", 4, 1, None, range(2), {0: Fraction(1, 2), 1: Fraction(1, 3)})
+    with pytest.raises(ValueError, match="negative"):
+        DistTable("Y", 4, 1, None, range(3), {0: Fraction(1, 2), 1: Fraction(-1, 2), 2: Fraction(1)})
+
+
+@pytest.mark.parametrize("build", [distribution_X, distribution_Y], ids=["X", "Y"])
+def test_dist_table_rejects_mass_off_by_one_part_in_the_denominator(build):
+    # the sum check is exact: moving 1/den of mass onto one entry of a real
+    # column (den = the common denominator of the column) is caught
+    from math import lcm
+
+    from mergeinsertion.probability import DistTable
+
+    table = build(9, 20)
+    den = lcm(*(p.denominator for p in table.mass.values()))
+    for j in (min(table.support), max(table.support)):
+        for delta in (Fraction(1, den), -Fraction(1, den)):
+            mass = dict(table.mass)
+            mass[j] += delta
+            with pytest.raises(ValueError, match="sums to"):
+                DistTable(table.kind, table.k, table.i, None, table.support, mass)
+    assert DistTable(table.kind, table.k, table.i, None, table.support, dict(table.mass)) == table

@@ -147,3 +147,67 @@ def test_trace_equivalence_property(ops):
         seq.insert(pos, value)
         oracle.insert(pos, value)
     assert seq.to_list() == oracle
+
+
+def assert_bisect_matches_list(seq):
+    data = seq.to_list()
+    heads = [block[0] for block in seq._blocks if block]
+    # every block head, the values just around it, and both ends
+    probes = {data[0] - 1, data[-1] + 1} if data else {0}
+    for head in heads:
+        probes |= {head - 1, head, head + 1}
+    for x in sorted(probes):
+        assert seq.bisect_right(x) == bisect_right(data, x), x
+    rng = random.Random(len(data))
+    for _ in range(300):
+        lo = rng.randint(0, len(data))
+        hi = rng.randint(lo, len(data))
+        x = rng.choice(sorted(probes))
+        assert seq.bisect_right(x, lo, hi) == bisect_right(data, x, lo, hi), (x, lo, hi)
+
+
+def test_bisect_right_empty():
+    seq = PosSequence()
+    assert seq.bisect_right(5) == 0
+    assert seq.bisect_right(5, 0, 0) == 0
+    with pytest.raises(IndexError, match="invalid range"):
+        seq.bisect_right(5, 0, 1)
+
+
+def test_bisect_right_single_block():
+    seq = PosSequence.from_items(range(0, 200, 2))
+    assert len(seq._blocks) == 1
+    assert_bisect_matches_list(seq)
+    assert seq.bisect_right(99, 10, 20) == 20
+    assert seq.bisect_right(-1, 10, 20) == 10
+    for lo, hi in [(-1, 3), (3, 2), (0, 101)]:
+        with pytest.raises(IndexError, match="invalid range"):
+            seq.bisect_right(7, lo, hi)
+
+
+def test_bisect_right_blocks_from_items():
+    seq = PosSequence.from_items(range(0, 20_000, 2))
+    assert len(seq._blocks) > 10
+    assert_bisect_matches_list(seq)
+
+
+def test_bisect_right_blocks_from_splits():
+    # sorted values inserted in random order, so the blocks come from splits
+    rng = random.Random(11)
+    values = rng.sample(range(0, 10**6, 3), 20_000)
+    seq = PosSequence()
+    oracle: list[int] = []
+    for v in values:
+        pos = bisect_right(oracle, v)
+        oracle.insert(pos, v)
+        seq.insert(pos, v)
+    assert len(seq._blocks) > 10 and seq.to_list() == oracle
+    assert_bisect_matches_list(seq)
+
+
+def test_bisect_right_reads_only_the_range():
+    # the items outside [lo, hi) are unsorted and never change the answer
+    seq = PosSequence.from_items([9, 8, 7] + list(range(10, 3000)) + [1, 0])
+    data = seq.to_list()
+    for x in (-1, 10, 500, 2998, 5000):
+        assert seq.bisect_right(x, 3, len(data) - 2) == bisect_right(data, x, 3, len(data) - 2)

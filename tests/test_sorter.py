@@ -1,4 +1,6 @@
 import math
+import operator
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -139,8 +141,6 @@ def test_adversarial_inputs_all_factors():
 def test_batch_bound_instrumented():
     # with the unstretched schedule every insertion of batch k searches at
     # most 2^k - 1 elements and costs at most k comparisons
-    import random
-
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randrange(2, 400)
@@ -176,6 +176,49 @@ def test_sortedness_property(perm, strategy, factor):
     outcome = merge_insertion(perm, strategy, schedule)
     assert outcome.items == sorted(perm)
     assert combined_sort(perm, strategy, schedule).items == sorted(perm)
+    assert all_outcomes(perm, strategy, schedule, operator.lt) == all_outcomes(perm, strategy, schedule, walk_less)
+
+
+def walk_less(a, b):
+    return a < b
+
+
+def all_outcomes(perm, strategy, schedule, less):
+    """What each sorter returns for ``perm``; the (1,2)-insertion gets its first half sorted."""
+    half = len(perm) // 2
+    return (
+        merge_insertion(perm, strategy, schedule, less=less, collect_insertions=True),
+        combined_sort(perm, strategy, schedule, less=less),
+        one_two_insertion(sorted(perm[:half]), perm[half:], strategy, less=less),
+    )
+
+
+SCHEDULES = [Schedule(Fraction(f)) for f in ("1", "3/2", "1.03")]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: str(s.factor))
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_native_order_equals_comparator_walk_small(strategy, schedule):
+    # the default less (C bisection plus gap depths) and a wrapped one
+    # (the pivot walk) give the same items, counts and insertion records
+    rng = random.Random(64)
+    for n in range(65):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        native = all_outcomes(perm, strategy, schedule, operator.lt)
+        assert native == all_outcomes(perm, strategy, schedule, walk_less), n
+        assert all(outcome.items == sorted(perm) for outcome in native)
+
+
+@pytest.mark.parametrize("n", [1000, 5461, 21845])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_native_order_equals_comparator_walk_large(strategy, n):
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    for schedule in SCHEDULES:
+        native = all_outcomes(perm, strategy, schedule, operator.lt)
+        assert native == all_outcomes(perm, strategy, schedule, walk_less), schedule
+        assert native[0].items == list(range(n))
 
 
 def test_one_two_empty_rest():
@@ -238,8 +281,6 @@ def test_combined_prefix_sizes():
 
 def test_combined_equals_plain_at_favourable_sizes():
     # n = 10 is a switch point: the combined algorithm is the batched sort
-    import random
-
     rng = random.Random(11)
     for _ in range(200):
         perm = list(range(10))
@@ -248,8 +289,6 @@ def test_combined_equals_plain_at_favourable_sizes():
 
 
 def test_combined_n12():
-    import random
-
     rng = random.Random(13)
     for _ in range(300):
         perm = list(range(12))

@@ -1,9 +1,20 @@
 import math
+import operator
 import random
 
 import pytest
 
-from mergeinsertion import PosSequence, Strategy, Tally, binary_insert, decision_depths, pivot_index
+from mergeinsertion import PosSequence, Strategy, Tally, binary_insert, decision_depths, gap_depth, pivot_index
+
+
+def walk_less(a, b):
+    return a < b
+
+
+# operator.lt (the default) takes the native-order path: C bisection plus
+# gap_depth; any other callable, this wrapper included, takes the pivot walk.
+# The binary_insert tests loop over both, so each check covers each path.
+BOTH_PATHS = (operator.lt, walk_less)
 
 
 def test_pivot_examples():
@@ -44,6 +55,13 @@ def test_two_layer_property_all_strategies():
             assert sum(1 for d in depths if d == long - 1) == short_expected
 
 
+def test_gap_depth_equals_decision_depths():
+    for strategy in Strategy:
+        for m in range(600):
+            depths = decision_depths(m, strategy)
+            assert [gap_depth(m, g, strategy) for g in range(m + 1)] == list(depths), (strategy, m)
+
+
 @pytest.mark.parametrize("m", [4095, 4096, 4097, 65535, 65536])
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_depths_match_binary_insert_on_long_chains(strategy, m):
@@ -52,10 +70,11 @@ def test_depths_match_binary_insert_on_long_chains(strategy, m):
     depths = decision_depths(m, strategy)
     assert len(depths) == m + 1
     gaps = set(range(50)) | set(range(m - 49, m + 1)) | set(random.Random(m).sample(range(m + 1), 200))
-    for gap in sorted(gaps):
-        tally = Tally()
-        assert binary_insert(2 * gap - 1, chain, 0, m, strategy, tally) == gap
-        assert tally.count == depths[gap], gap
+    for less in BOTH_PATHS:
+        for gap in sorted(gaps):
+            tally = Tally()
+            assert binary_insert(2 * gap - 1, chain, 0, m, strategy, tally, less=less) == gap
+            assert tally.count == depths[gap], (less, gap)
 
 
 def test_short_leaf_placement():
@@ -72,9 +91,17 @@ def test_short_leaf_placement():
 
 def test_binary_insert_trivial_and_errors():
     chain = PosSequence.from_items([10, 20, 30])
-    tally = Tally()
-    assert binary_insert(15, chain, 2, 2, Strategy.LEFT, tally) == 2
-    assert tally.count == 0
+    for less in BOTH_PATHS:
+        tally = Tally()
+        assert binary_insert(15, chain, 2, 2, Strategy.LEFT, tally, less=less) == 2
+        assert tally.count == 0
+
+
+class Uncomparable:
+    """A key whose native order must never be consulted."""
+
+    def __lt__(self, other):
+        raise AssertionError("compared before the range was checked")
 
 
 @pytest.mark.parametrize("lo, hi", [(2, 1), (-1, 2), (0, 4), (-2, -1), (4, 4)])
@@ -85,32 +112,53 @@ def test_binary_insert_rejects_range_before_comparing(lo, hi):
     tally = Tally()
     with pytest.raises(IndexError, match="invalid range"):
         binary_insert(15, PosSequence.from_items([10, 20, 30]), lo, hi, Strategy.LEFT, tally, less=less)
+    # the default less, on keys whose own < raises
+    chain = PosSequence.from_items([Uncomparable() for _ in range(3)])
+    with pytest.raises(IndexError, match="invalid range"):
+        binary_insert(Uncomparable(), chain, lo, hi, Strategy.LEFT, tally)
     assert tally.count == 0
 
 
 def test_binary_insert_every_gap_every_strategy():
     # replaying each target gap must return the gap, keep the chain sorted,
     # and cost exactly the published decision depth
-    for strategy in Strategy:
-        for m in list(range(0, 65)) + [100, 150, 200]:
-            chain = PosSequence.from_items([2 * v for v in range(m)])
-            depths = decision_depths(m, strategy)
-            for gap in range(m + 1):
-                tally = Tally()
-                item = 2 * gap - 1
-                pos = binary_insert(item, chain, 0, m, strategy, tally)
-                assert pos == gap
-                assert tally.count == depths[gap]
+    for less in BOTH_PATHS:
+        for strategy in Strategy:
+            for m in list(range(0, 65)) + [100, 150, 200]:
+                chain = PosSequence.from_items([2 * v for v in range(m)])
+                depths = decision_depths(m, strategy)
+                for gap in range(m + 1):
+                    tally = Tally()
+                    item = 2 * gap - 1
+                    pos = binary_insert(item, chain, 0, m, strategy, tally, less=less)
+                    assert pos == gap
+                    assert tally.count == depths[gap]
 
 
 def test_binary_insert_subrange():
     chain = PosSequence.from_items(list(range(0, 40, 2)))
-    tally = Tally()
-    pos = binary_insert(9, chain, 3, 12, Strategy.CENTER_LEFT, tally)
-    assert pos == 5
-    probed = chain.to_list()
-    probed.insert(pos, 9)
-    assert probed == sorted(probed)
+    for less in BOTH_PATHS:
+        tally = Tally()
+        pos = binary_insert(9, chain, 3, 12, Strategy.CENTER_LEFT, tally, less=less)
+        assert pos == 5
+        probed = chain.to_list()
+        probed.insert(pos, 9)
+        assert probed == sorted(probed)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_subrange_items_outside_range_agree(strategy):
+    # items below chain[lo] and above chain[hi - 1] end at lo and hi on
+    # both paths, for the same count, on a chain of several blocks
+    chain = PosSequence.from_items(range(0, 6000, 2))
+    assert len(chain._blocks) > 2
+    for lo, hi in [(0, 3000), (3, 12), (700, 2300), (1000, 1000), (2999, 3000)]:
+        for item in (-1, 2 * lo - 1, 2 * lo, 2 * hi - 2, 2 * hi - 1, 2 * hi + 101, 6001):
+            native, walk = Tally(), Tally()
+            pos = binary_insert(item, chain, lo, hi, strategy, native)
+            assert pos == binary_insert(item, chain, lo, hi, strategy, walk, less=walk_less), (lo, hi, item)
+            assert native.count == walk.count == gap_depth(hi - lo, pos - lo, strategy)
+            assert pos == min(max(item // 2 + 1, lo), hi)
 
 
 def test_strategy_names_round_trip():
