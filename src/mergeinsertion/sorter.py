@@ -16,10 +16,14 @@ exactly once per call. The default, ``operator.lt``, lets each binary
 insertion find its gap by C bisection on the keys' native ``<`` and
 count the decision-tree depth of that gap (``strategies.gap_depth``):
 the comparisons the pivot walk would have made, so the counts are the
-same. The recursion moves the keys themselves: each larger key
-finds its smaller partner again by object identity, so keys must be
-distinct objects (and, when hashable, distinct values). The main chain
-is a PosSequence, addressed by position only.
+same. It also finds each partner's chain position, which bounds the
+search of its smaller key, by bisecting the few positions it can hold
+(uncounted: the algorithm knows them); a custom ``less`` tracks them in
+a per-batch Fenwick tree, ``_Fenwick``. The recursion moves the keys
+themselves: each larger key finds its smaller partner again by object
+identity, so keys must be distinct objects (and, when hashable,
+distinct values). The main chain is a PosSequence, addressed by
+position only.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ def _require_distinct(items: list) -> None:
 
 
 class _Fenwick:
-    """Prefix sums over 1..n plus the positional search used by the sorter."""
+    """Prefix sums over 1..n plus a positional search: partner positions under a custom ``less``."""
 
     __slots__ = ("n", "tree")
 
@@ -182,28 +186,34 @@ def _merge_insertion_sort(
 
     m_total = len(b_ord)  # ceil(n / 2)
     chain = PosSequence.from_items([b_ord[0]] + a_sorted)
+    native = less is operator.lt
 
     for k, lo, hi in schedule.batches(m_total):
         t_prev = lo - 1
-        # per-segment insertion counts let us know each partner's current
-        # chain position without scanning: position of partner lo+s-1 is
-        # base + s + prefix(s)
-        fen = _Fenwick(hi - lo + 1)
+        # partner a_j sits at t_prev + j - 1 plus the later members b_i
+        # (i > j) inserted below it, at most hi - j: the default less bisects
+        # that window; a custom less counts insertions per segment, so
+        # partner lo+s-1 sits at base + s + prefix(s) without a comparison
+        fen = None if native else _Fenwick(hi - lo + 1)
         base = t_prev + lo - 2
         for j in range(hi, lo - 1, -1):
-            if j <= half:
-                limit = t_prev + j - 1 + fen.prefix(j - lo + 1)
-            else:
+            if j > half:
                 limit = len(chain)  # unpaired element searches the whole chain
+            elif native:
+                first = t_prev + j - 1
+                limit = chain.bisect_right(a_sorted[j - 1], first, first + hi - j + 1) - 1
+            else:
+                limit = t_prev + j - 1 + fen.prefix(j - lo + 1)
             item = b_ord[j - 1]
             before = tally.count
             pos = binary_insert(item, chain, 0, limit, strategy, tally, less=less)
             chain.insert(pos, item)
             if records is not None:
                 records.append((depth, k, limit, tally.count - before))
-            seg = fen.min_reaching(pos - base)
-            cap = j - lo + 1
-            fen.add(seg if seg <= cap else cap)
+            if fen is not None:
+                seg = fen.min_reaching(pos - base)
+                cap = j - lo + 1
+                fen.add(seg if seg <= cap else cap)
 
     return chain.to_list()
 

@@ -176,6 +176,7 @@ def test_c07_binomial_cdf_dominance():
     print("PASS 7: binomial stand-in CDF never exceeds the exact one for k <= 8")
 
 
+@pytest.mark.slow
 def test_c08_monte_carlo_agreement():
     for n in range(1, 9):
         counts = [merge_insertion(list(p)).comparisons for p in permutations(range(n))]

@@ -7,6 +7,10 @@ change to the sorter's internals (its chain container, its recursion)
 must leave all three untouched: equal totals are not enough, the caller
 must see the very same calls in the very same order.
 
+The default ``less`` reaches the same counts and records without calling
+a Python comparator (C bisection plus decision-tree depths); the ``mi/*``
+cases pin it to the same table.
+
 The table was recorded before the sorter moved to keys and a block-list
 chain. ``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``)
 prints the current values in the same source form, for a change that is
@@ -88,6 +92,16 @@ EXPECTED: dict[tuple[int, str], tuple[int, str | None, str]] = {
 @pytest.mark.parametrize("n,case", CASES)
 def test_sorter_calls_match_golden(n, case):
     assert run_case(n, case) == EXPECTED[(n, case)]
+
+
+@pytest.mark.parametrize("n,case", [(n, case) for n, case in CASES if case.startswith("mi/")])
+def test_native_order_matches_golden(n, case):
+    # the default less: no Python comparator, the same counts and records
+    _, strategy, factor = case.split("/")
+    perm = _rng(SEED, n).permutation(n).tolist()
+    outcome = merge_insertion(perm, Strategy.from_name(strategy), Schedule(Fraction(factor)), collect_insertions=True)
+    assert outcome.items == list(range(n))
+    assert (outcome.comparisons, _sha(outcome.insertions)) == EXPECTED[(n, case)][:2]
 
 
 if __name__ == "__main__":

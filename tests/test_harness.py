@@ -91,6 +91,7 @@ def test_mean_never_below_minimum_comparisons():
         assert stats.normalized == (stats.mean - stats.n * math.log2(stats.n)) / stats.n
 
 
+@pytest.mark.slow
 def test_sampled_mean_tracks_exact_over_seeds():
     # the exact average lies within 4 standard errors of the sampled mean
     # for (at least) 99 of 100 seeds

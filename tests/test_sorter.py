@@ -20,7 +20,8 @@ from mergeinsertion import (
     merge_insertion,
     one_two_insertion,
 )
-from mergeinsertion.sorter import _prefer_pair
+from mergeinsertion import sorter
+from mergeinsertion.sorter import _prefer_pair, batch_bound
 from oracles import one_two_mean_oracle, prefer_pair_table
 
 
@@ -219,6 +220,61 @@ def test_native_order_equals_comparator_walk_large(strategy, n):
         native = all_outcomes(perm, strategy, schedule, operator.lt)
         assert native == all_outcomes(perm, strategy, schedule, walk_less), schedule
         assert native[0].items == list(range(n))
+
+
+def distinct_keys(kind, n, rng):
+    """``n`` distinct keys of one kind in draw order: not a permutation of range(n)."""
+    draw = {
+        "int63": lambda: rng.getrandbits(63),
+        "negative-float": lambda: -rng.random() * 1e6,
+        "str": lambda: format(rng.getrandbits(40), "x"),
+    }[kind]
+    keys: dict = {}
+    while len(keys) < n:
+        keys[draw()] = None
+    return list(keys)
+
+
+# around 2t(k): truncated last batches, with and without an odd leftover
+BATCH_EDGE_SIZES = [2 * batch_bound(k) + d for k in range(5, 10) for d in range(3)]
+
+
+@pytest.mark.parametrize("kind", ["int63", "negative-float", "str"])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_native_order_equals_comparator_walk_on_general_keys(strategy, kind):
+    rng = random.Random(f"{kind}/{strategy.value}")
+    for n in BATCH_EDGE_SIZES:
+        keys = distinct_keys(kind, n, rng)
+        for schedule in SCHEDULES:
+            native = all_outcomes(keys, strategy, schedule, operator.lt)
+            assert native == all_outcomes(keys, strategy, schedule, walk_less), (n, schedule)
+            assert native[0].items == sorted(keys)
+
+
+def test_default_less_builds_no_fenwick(monkeypatch):
+    # partner positions come from bisection unless less is a custom callback
+    real_fenwick = sorter._Fenwick
+
+    def no_fenwick(n):
+        raise AssertionError("the default less built a Fenwick tree")
+
+    monkeypatch.setattr(sorter, "_Fenwick", no_fenwick)
+    for n in (1364, 1365):
+        perm = list(range(n))
+        random.Random(n).shuffle(perm)
+        assert merge_insertion(perm).items == sorted(perm)
+        assert merge_insertion(perm, collect_insertions=True).items == sorted(perm)
+        assert combined_sort(perm).items == sorted(perm)
+
+    built = []
+
+    def counted_fenwick(n):
+        built.append(n)
+        return real_fenwick(n)
+
+    monkeypatch.setattr(sorter, "_Fenwick", counted_fenwick)
+    assert merge_insertion(perm, less=walk_less).items == sorted(perm)
+    assert built
 
 
 def test_one_two_empty_rest():
