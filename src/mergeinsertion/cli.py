@@ -37,6 +37,13 @@ def _strategy(args) -> Strategy:
     return Strategy.from_name(args.strategy)
 
 
+def _factor(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"schedule factor {text!r} has a zero denominator") from None
+
+
 def _emit(table: Table, args) -> None:
     if args.out:
         emit_tsv(table, args.out)
@@ -54,13 +61,14 @@ def _note_seed(args) -> None:
 
 
 def cmd_sort(args) -> int:
+    sort = harness.sort_fn(args.algorithm, _strategy(args), _factor(args.factor))
     if args.input == "-":
         text = sys.stdin.read()
     else:
         with open(args.input) as fh:
             text = fh.read()
     keys = [int(line) for line in text.split()]
-    outcome = harness.sort_fn(args.algorithm, _strategy(args), Fraction(args.factor))(keys)
+    outcome = sort(keys)
     payload = "".join(f"{key}\n" for key in outcome.items).encode()
     if args.out:
         with open(args.out, "wb") as fh:
@@ -78,7 +86,7 @@ def cmd_count(args) -> int:
         ns=_parse_ns(args),
         algorithm=args.algorithm,
         strategy=_strategy(args),
-        factor=Fraction(args.factor),
+        factor=_factor(args.factor),
         trials=args.trials,
         seed=_seed(args),
         exhaustive=args.exhaustive,
@@ -166,7 +174,9 @@ def cmd_bound(args) -> int:
 
 def cmd_sweep_factor(args) -> int:
     _note_seed(args)
-    factors = [part for part in args.factors.split(",")]
+    factors = args.factors.split(",")
+    for part in factors:
+        _factor(part)  # the labels keep the spelling given, so only check it here
     table = harness.sweep_factor(
         _parse_ns(args), factors, _strategy(args), args.trials, _seed(args)
     )
@@ -176,7 +186,7 @@ def cmd_sweep_factor(args) -> int:
 
 def cmd_compare_algos(args) -> int:
     _note_seed(args)
-    factor = Fraction(args.factor)
+    factor = _factor(args.factor)
     table = harness.compare_algorithms(
         _parse_ns(args),
         trials=args.trials,

@@ -4,10 +4,8 @@ Items are addressed by zero-based position. The container compares
 items in one place only, ``bisect_right``, which finds a gap by native
 ``<`` for callers whose order is the keys' own. The items live in a
 list of blocks (plain lists), and ``_starts[i]`` is the position of
-block i's first item. A lookup is one bisection of ``_starts``:
-``block_at`` returns the block it lands in with that block's first
-position, so a reader probing nearby positions (a binary search)
-subscripts the block itself until a probe leaves it. An insertion is
+block i's first item. A lookup (``get``) is one bisection of
+``_starts`` and one subscript of the block it lands in. An insertion is
 one in-block ``list.insert`` plus a bump of every later start, and a
 block is split in half once it outgrows a bound that grows like the
 square root of the size. No block is empty unless the whole sequence
@@ -67,23 +65,13 @@ class PosSequence:
 
     def get(self, pos: int) -> Any:
         """Item at ``pos``; raises IndexError outside [0, len)."""
-        block, start = self.block_at(pos)
-        return block[pos - start]
-
-    __getitem__ = get
-
-    def block_at(self, pos: int) -> tuple[list, int]:
-        """The block holding ``pos`` and the position of its first item.
-
-        The item at ``pos`` is ``block[pos - start]``. The block is the
-        live one: it is valid only until the next insert, and the caller
-        must not change it. Raises IndexError outside [0, len).
-        """
         if not 0 <= pos < self._size:
             raise IndexError(f"position {pos} out of range for length {self._size}")
         starts = self._starts
         i = bisect_right(starts, pos) - 1
-        return self._blocks[i], starts[i]
+        return self._blocks[i][pos - starts[i]]
+
+    __getitem__ = get
 
     def bisect_right(self, x: Any, lo: int = 0, hi: int | None = None) -> int:
         """Position in [lo, hi] after every item of self[lo:hi] that is not above ``x``.

@@ -107,6 +107,13 @@ def _require_distinct(items: list) -> None:
         raise ValueError("keys must be pairwise distinct")
 
 
+def _require_strategy(strategy) -> None:
+    # binary_insert tells the rules apart by identity, so a name such as
+    # "left" would fall through to some rule instead of failing
+    if not isinstance(strategy, Strategy):
+        raise ValueError(f"strategy must be a Strategy, got {strategy!r}; see Strategy.from_name")
+
+
 class _Fenwick:
     """Prefix sums over 1..n plus a positional search: partner positions under a custom ``less``."""
 
@@ -227,6 +234,7 @@ def merge_insertion(
     collect_insertions: bool = False,
 ) -> SortOutcome:
     """Sort distinct keys by batched binary insertion, counting comparisons."""
+    _require_strategy(strategy)
     data = list(items)
     _require_distinct(data)
     tally = Tally()
@@ -317,6 +325,7 @@ def one_two_insertion(
     so most elements go in singly. The prefix may be a PosSequence or
     any sorted iterable.
     """
+    _require_strategy(strategy)
     prefix_items = list(sorted_prefix)
     rest = list(rest)
     _require_distinct(prefix_items + rest)
@@ -354,6 +363,7 @@ def combined_sort(
 ) -> SortOutcome:
     """Batched sort of the first combined_prefix_size(n) keys, then
     (1,2)-insertion of the remainder. No keys cost no comparisons."""
+    _require_strategy(strategy)
     data = list(items)
     if not data:
         return SortOutcome([], 0)

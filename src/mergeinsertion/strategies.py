@@ -14,7 +14,9 @@ the gap is found by C bisection (``PosSequence.bisect_right``) and the
 insertion is charged that gap's depth in the strategy's decision tree
 (``gap_depth``): exactly the comparisons the pivot walk would have
 made, since both test ``item < chain[i]``. Any other ``less`` drives the
-pivot walk itself, and every call to it is counted exactly once.
+pivot walk itself: each probe takes its pivot from ``pivot_index`` and
+reads it with ``PosSequence.get``, and every call to ``less`` is counted
+exactly once. ``pivot_index`` is the only place a pivot is chosen.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ def binary_insert(
     pivot walk makes. With the default ``less`` none is made: the gap g
     comes from ``chain.bisect_right`` and the tally grows by
     ``gap_depth(hi - lo, g - lo, strategy)``, which is that same count.
-    Any other ``less`` is called once per pivot comparison.
+    Any other ``less`` is called once per pivot comparison, each probe at
+    the pivot ``pivot_index`` picks among the candidates left.
     """
     if not 0 <= lo <= hi <= len(chain):
         raise IndexError(f"invalid range [{lo}, {hi}) for length {len(chain)}")
@@ -105,42 +108,16 @@ def binary_insert(
         tally.count += gap_depth(hi - lo, pos - lo, strategy)
         return pos
     n = hi - lo
-    skew_left = strategy is Strategy.LEFT
-    center_left = strategy is Strategy.CENTER_LEFT
-    center_right = strategy is Strategy.CENTER_RIGHT
-    block_at = chain.block_at
-    block: list = []
-    start = end = 0  # chain[start:end] is block; empty until the first probe
-    count = 0
+    get = chain.get
     while n > 0:
-        # pivot_index's rule, inlined with the strategy tested once per
-        # call: a call per probe cost +44% wall time sorting 2^17 keys
-        full = 1 << (n.bit_length() - 1)
-        if skew_left:
-            c = n - full + 1
-            half = full >> 1
-            if c < half:
-                c = half
-        elif center_left:
-            c = (n + 1) >> 1
-        elif center_right:
-            c = (n + 2) >> 1
-        else:
-            c = n - (full >> 1) + 1
-            if c > full:
-                c = full
+        c = pivot_index(n, strategy)
         idx = lo + c - 1
-        count += 1
-        if not start <= idx < end:
-            # the search leaves the block it read last: one bisection for the next
-            block, start = block_at(idx)
-            end = start + len(block)
-        if less(item, block[idx - start]):
+        tally.count += 1
+        if less(item, get(idx)):
             n = c - 1
         else:
             lo = idx + 1
             n -= c
-    tally.count += count
     return lo
 
 
@@ -150,8 +127,8 @@ def gap_depth(m: int, g: int, strategy: Strategy) -> int:
     Equal to ``decision_depths(m, strategy)[g]`` without building the
     tuple. With d = m.bit_length() the depth is d - 1 or d. LEFT puts the
     2^d - (m + 1) short gaps first and RIGHT puts them last; the center
-    rules are followed down the pivot walk, in integers, until the
-    candidates left number 2^j - 1, whose gaps all lie j deeper.
+    rules follow ``pivot_index`` down the walk until the candidates left
+    number 2^j - 1, whose gaps all lie j deeper.
     """
     if strategy is Strategy.LEFT:
         d = m.bit_length()
@@ -159,10 +136,9 @@ def gap_depth(m: int, g: int, strategy: Strategy) -> int:
     if strategy is Strategy.RIGHT:
         d = m.bit_length()
         return d - 1 if m - g < (1 << d) - m - 1 else d
-    extra = 1 if strategy is Strategy.CENTER_RIGHT else 0
     depth = 0
     while m & (m + 1):
-        c = (m + 1 + extra) >> 1
+        c = pivot_index(m, strategy)
         depth += 1
         if g < c:
             m = c - 1

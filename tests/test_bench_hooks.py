@@ -87,10 +87,10 @@ def test_sorts_reached_through_harness_globals(monkeypatch):
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_probes_read_chain_blocks(monkeypatch, strategy):
     # with a custom less (as the traced sort-large run has), binary_insert
-    # reads the chain through block_at, at most one call per insertion
-    # comparison, and never through get; the benchmark's sequence.get
-    # metrics and probes_per_insert count get calls
-    calls = {"get": 0, "block_at": 0, "less": 0}
+    # reads each probe through PosSequence.get, one call per insertion
+    # comparison; the benchmark's sequence.get metrics and probes_per_insert
+    # count these calls
+    calls = {"get": 0, "less": 0}
 
     def counting(name, fn):
         def call(*args):
@@ -100,21 +100,19 @@ def test_probes_read_chain_blocks(monkeypatch, strategy):
         return call
 
     monkeypatch.setattr(PosSequence, "get", counting("get", PosSequence.get))
-    monkeypatch.setattr(PosSequence, "block_at", counting("block_at", PosSequence.block_at))
     less = counting("less", operator.lt)
     keys = list(range(500, 0, -1))
 
     outcome = merge_insertion(keys, strategy, less=less, collect_insertions=True)
     assert outcome.items == sorted(keys)
     assert calls["less"] == outcome.comparisons
-    assert 0 < calls["block_at"] <= sum(rec[3] for rec in outcome.insertions)
+    assert calls["get"] == sum(rec[3] for rec in outcome.insertions) > 0
 
-    calls.update(block_at=0, less=0)
+    calls.update(get=0, less=0)
     outcome = combined_sort(keys[:400], strategy, less=less)
     assert outcome.items == sorted(keys[:400])
     assert calls["less"] == outcome.comparisons
-    assert 0 < calls["block_at"] <= outcome.comparisons
-    assert calls["get"] == 0
+    assert 0 < calls["get"] <= outcome.comparisons
 
 
 def _root_states(n: int) -> set[tuple[int, ...]]:

@@ -172,6 +172,10 @@ BAD_ARGUMENTS = {
     ),
     "count-exhaustive-with-seed": (("count", "--n", "4", "--exhaustive", "--seed", "5"), "it takes no --seed"),
     "count-exhaustive-with-seed-0": (("count", "--n", "4", "--exhaustive", "--seed", "0"), "it takes no --seed"),
+    "sort-zero-denominator": (("sort", "--factor", "1/0"), "zero denominator"),
+    "count-zero-denominator": (("count", "--n", "4", "--factor", "1/0"), "zero denominator"),
+    "compare-zero-denominator": (("compare-algos", "--n", "4", "--factor", "1/0"), "zero denominator"),
+    "sweep-zero-denominator": (("sweep-factor", "--n", "4", "--factors", "1,1/0"), "zero denominator"),
 }
 
 

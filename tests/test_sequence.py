@@ -32,10 +32,6 @@ def test_out_of_range_rejected():
     with pytest.raises(IndexError):
         seq.get(-1)
     with pytest.raises(IndexError):
-        seq.block_at(3)
-    with pytest.raises(IndexError):
-        seq.block_at(-1)
-    with pytest.raises(IndexError):
         seq.insert(4, 0)
     with pytest.raises(IndexError):
         seq.insert(-1, 0)
@@ -131,10 +127,6 @@ def test_block_boundaries_match_list_oracle(size):
         assert_block_invariants(seq)
     assert seq.to_list() == oracle
     assert [seq.get(i) for i in range(len(oracle))] == oracle
-    for i, item in enumerate(oracle):
-        block, start = seq.block_at(i)
-        assert start in seq._starts and start <= i < start + len(block)
-        assert block[i - start] == item
 
 
 @settings(max_examples=200, deadline=None)

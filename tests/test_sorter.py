@@ -82,6 +82,19 @@ def test_duplicate_keys_rejected():
         combined_sort([3, 3])
 
 
+@pytest.mark.parametrize("strategy", ["left", None, 0])
+def test_strategy_must_be_a_strategy(strategy):
+    # a name is not a rule: it must fail on both the native path and the
+    # comparator walk, which would otherwise read it as different rules
+    for less in (operator.lt, walk_less):
+        with pytest.raises(ValueError, match="Strategy"):
+            merge_insertion([2, 1], strategy, less=less)
+        with pytest.raises(ValueError, match="Strategy"):
+            one_two_insertion([1], [0], strategy, less=less)
+        with pytest.raises(ValueError, match="Strategy"):
+            combined_sort([], strategy, less=less)
+
+
 def test_unhashable_keys_must_be_distinct_objects():
     a, b = [1], [2]
     with pytest.raises(ValueError):
