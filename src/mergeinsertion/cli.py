@@ -141,7 +141,7 @@ def cmd_dist(args) -> int:
         table = Table(["i", "EYi"], rows)
         _emit(table, args)
         return 0
-    members = args.i or sorted({1, max(1, width // 2), width})
+    members = list(dict.fromkeys(args.i or (1, max(1, width // 2), width)))  # dedupe, keep order
     if args.var == "y":
         tables = [probability.distribution_Y(k, i) for i in members]
         header = ["j"] + [f"Y{i}" for i in members]
@@ -186,13 +186,12 @@ def cmd_sweep_factor(args) -> int:
 
 def cmd_compare_algos(args) -> int:
     _note_seed(args)
-    factor = _factor(args.factor)
     table = harness.compare_algorithms(
         _parse_ns(args),
         trials=args.trials,
         seed=_seed(args),
         strategy=_strategy(args),
-        variant_factor=factor if factor != 1 else Fraction("1.03"),
+        variant_factor=_factor(args.factor),
     )
     _emit(table, args)
     return 0
@@ -270,10 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_factor)
 
     p = sub.add_parser(
-        "compare-algos",
-        parents=[sampling, strategy, factor, out, sizes],
-        help="batched vs combined algorithm (--factor overrides the 1.03 variant column)",
+        "compare-algos", parents=[sampling, strategy, out, sizes], help="batched vs combined algorithm"
     )
+    p.add_argument("--factor", default="1.03", help="schedule stretch factor of the variant column (default 1.03)")
     p.set_defaults(func=cmd_compare_algos)
 
     return parser

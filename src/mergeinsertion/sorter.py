@@ -16,10 +16,10 @@ exactly once per call. The default, ``operator.lt``, lets each binary
 insertion find its gap by C bisection on the keys' native ``<`` and
 count the decision-tree depth of that gap (``strategies.gap_depth``):
 the comparisons the pivot walk would have made, so the counts are the
-same. It also finds each partner's chain position, which bounds the
-search of its smaller key, by bisecting the few positions it can hold
-(uncounted: the algorithm knows them); a custom ``less`` tracks them in
-a per-batch Fenwick tree, ``_Fenwick``. The recursion moves the keys
+same. Each smaller key searches only below its partner, whose chain
+position the batch loop finds by one downward walk over the partners'
+identities, the same for any ``less`` (uncounted: the algorithm knows
+its partners). The recursion moves the keys
 themselves: each larger key finds its smaller partner again by object
 identity, so keys must be distinct objects (and, when hashable,
 distinct values). The main chain is a PosSequence, addressed by
@@ -114,8 +114,15 @@ def _require_strategy(strategy) -> None:
         raise ValueError(f"strategy must be a Strategy, got {strategy!r}; see Strategy.from_name")
 
 
+def _require_schedule(schedule) -> None:
+    # a bare factor such as 1.03 would fail deep in the sort, or pass below two keys
+    if not isinstance(schedule, Schedule):
+        raise ValueError(f"schedule must be a Schedule, got {schedule!r}; e.g. Schedule(Fraction('1.03'))")
+
+
 class _Fenwick:
-    """Prefix sums over 1..n plus a positional search: partner positions under a custom ``less``."""
+    """Prefix sums over 1..n plus a positional search. No sort builds one; it stays
+    because ``perfbench/workloads.py`` wraps ``sorter._Fenwick`` by name on import."""
 
     __slots__ = ("n", "tree")
 
@@ -193,34 +200,26 @@ def _merge_insertion_sort(
 
     m_total = len(b_ord)  # ceil(n / 2)
     chain = PosSequence.from_items([b_ord[0]] + a_sorted)
-    native = less is operator.lt
 
     for k, lo, hi in schedule.batches(m_total):
-        t_prev = lo - 1
-        # partner a_j sits at t_prev + j - 1 plus the later members b_i
-        # (i > j) inserted below it, at most hi - j: the default less bisects
-        # that window; a custom less counts insertions per segment, so
-        # partner lo+s-1 sits at base + s + prefix(s) without a comparison
-        fen = None if native else _Fenwick(hi - lo + 1)
-        base = t_prev + lo - 2
+        # a_hi starts at lo + hi - 2, above the t(k-1) inserted b's and
+        # a_1..a_(hi-1); b_j goes in below a_j, so a_(j-1) stays at or
+        # below a_j's old position and one walk down finds every partner
+        p = lo + hi - 2
         for j in range(hi, lo - 1, -1):
             if j > half:
                 limit = len(chain)  # unpaired element searches the whole chain
-            elif native:
-                first = t_prev + j - 1
-                limit = chain.bisect_right(a_sorted[j - 1], first, first + hi - j + 1) - 1
             else:
-                limit = t_prev + j - 1 + fen.prefix(j - lo + 1)
+                # chain[p], not chain.get(p): a partner read is not a probe
+                while chain[p] is not a_sorted[j - 1]:
+                    p -= 1
+                limit = p
             item = b_ord[j - 1]
             before = tally.count
             pos = binary_insert(item, chain, 0, limit, strategy, tally, less=less)
             chain.insert(pos, item)
             if records is not None:
                 records.append((depth, k, limit, tally.count - before))
-            if fen is not None:
-                seg = fen.min_reaching(pos - base)
-                cap = j - lo + 1
-                fen.add(seg if seg <= cap else cap)
 
     return chain.to_list()
 
@@ -235,6 +234,7 @@ def merge_insertion(
 ) -> SortOutcome:
     """Sort distinct keys by batched binary insertion, counting comparisons."""
     _require_strategy(strategy)
+    _require_schedule(schedule)
     data = list(items)
     _require_distinct(data)
     tally = Tally()
@@ -364,6 +364,7 @@ def combined_sort(
     """Batched sort of the first combined_prefix_size(n) keys, then
     (1,2)-insertion of the remainder. No keys cost no comparisons."""
     _require_strategy(strategy)
+    _require_schedule(schedule)
     data = list(items)
     if not data:
         return SortOutcome([], 0)

@@ -91,6 +91,14 @@ def test_dist_table_shape(capsys):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_dist_repeated_member_gives_one_column(capsys):
+    code, out, _err = run_cli(capsys, "dist", "--k", "4", "--var", "x", "--i", "6", "--i", "2", "--i", "6")
+    assert code == 0
+    assert out.splitlines()[0] == "j\tX6\tX2"
+    _code, once, _err = run_cli(capsys, "dist", "--k", "4", "--var", "x", "--i", "6", "--i", "2")
+    assert out == once
+
+
 def test_dist_mean_table(capsys):
     code, out, _err = run_cli(capsys, "dist", "--k", "4", "--var", "mean")
     assert code == 0
@@ -134,7 +142,9 @@ def test_compare_algos_factor_one_spellings_agree(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
-    assert outputs[0].splitlines()[0].endswith("combined-f1.03")
+    assert outputs[0].splitlines()[0].endswith("combined-f1.0")
+    # at factor 1 the variant column is the plain combined column
+    assert all(row.split("\t")[2] == row.split("\t")[3] for row in outputs[0].splitlines()[1:])
 
 
 def test_bad_config_exit_code(capsys):

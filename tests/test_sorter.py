@@ -95,6 +95,17 @@ def test_strategy_must_be_a_strategy(strategy):
             combined_sort([], strategy, less=less)
 
 
+@pytest.mark.parametrize("schedule", [1.03, Fraction(103, 100), "1.03", None], ids=repr)
+def test_schedule_must_be_a_schedule(schedule):
+    # a bare factor fails by name at every size, not as an AttributeError
+    # deep in the batch loop (n >= 2) or not at all (n < 2)
+    for keys in ([], [1], [2, 1], list(range(10))):
+        with pytest.raises(ValueError, match="Schedule"):
+            merge_insertion(keys, Strategy.LEFT, schedule)
+        with pytest.raises(ValueError, match="Schedule"):
+            combined_sort(keys, Strategy.LEFT, schedule)
+
+
 def test_unhashable_keys_must_be_distinct_objects():
     a, b = [1], [2]
     with pytest.raises(ValueError):
@@ -264,30 +275,56 @@ def test_native_order_equals_comparator_walk_on_general_keys(strategy, kind):
             assert native[0].items == sorted(keys)
 
 
-def test_default_less_builds_no_fenwick(monkeypatch):
-    # partner positions come from bisection unless less is a custom callback
-    real_fenwick = sorter._Fenwick
-
+def test_no_sort_builds_a_fenwick(monkeypatch):
+    # partner positions come from one walk down the chain, for every less
     def no_fenwick(n):
-        raise AssertionError("the default less built a Fenwick tree")
+        raise AssertionError("a sort built a Fenwick tree")
 
     monkeypatch.setattr(sorter, "_Fenwick", no_fenwick)
     for n in (1364, 1365):
         perm = list(range(n))
         random.Random(n).shuffle(perm)
-        assert merge_insertion(perm).items == sorted(perm)
-        assert merge_insertion(perm, collect_insertions=True).items == sorted(perm)
-        assert combined_sort(perm).items == sorted(perm)
+        for less in (operator.lt, walk_less):
+            assert merge_insertion(perm, less=less).items == sorted(perm)
+            assert merge_insertion(perm, less=less, collect_insertions=True).items == sorted(perm)
+            assert combined_sort(perm, less=less).items == sorted(perm)
 
-    built = []
 
-    def counted_fenwick(n):
-        built.append(n)
-        return real_fenwick(n)
+def zigzag(n):
+    """0, n-1, 1, n-2, ...: small and large keys alternate."""
+    return [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
 
-    monkeypatch.setattr(sorter, "_Fenwick", counted_fenwick)
-    assert merge_insertion(perm, less=walk_less).items == sorted(perm)
-    assert built
+
+WALK_INPUTS = {
+    "sorted": lambda n: list(range(n)),
+    "reversed": lambda n: list(range(n - 1, -1, -1)),
+    "zigzag": zigzag,
+    "random": lambda n: random.Random(n).sample(range(n), n),
+}
+
+
+@pytest.mark.parametrize("less", [operator.lt, walk_less], ids=["default", "custom"])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_partner_walk_reads_under_two_per_insertion(monkeypatch, strategy, less):
+    # each batch walks down from a_hi once, reading each position at most
+    # once, so the partner reads number at most members + hi - lo
+    reads = 0
+    real_getitem = PosSequence.__getitem__
+
+    def counted_getitem(seq, pos):
+        nonlocal reads
+        reads += 1
+        return real_getitem(seq, pos)
+
+    monkeypatch.setattr(PosSequence, "__getitem__", counted_getitem)
+    for kind, make in WALK_INPUTS.items():
+        for n in (2, 3, 7, 100, 1365, 1366, 5000):
+            keys = make(n)
+            for factor in ("1", "103/100", "19/10"):
+                reads = 0
+                outcome = merge_insertion(keys, strategy, Schedule(Fraction(factor)), less=less, collect_insertions=True)
+                assert outcome.items == sorted(keys)
+                assert reads <= 2 * len(outcome.insertions), (kind, n, factor)
 
 
 def test_one_two_empty_rest():
