@@ -16,7 +16,13 @@ insertion is charged that gap's depth in the strategy's decision tree
 made, since both test ``item < chain[i]``. Any other ``less`` drives the
 pivot walk itself: each probe takes its pivot from ``pivot_index`` and
 reads it with ``PosSequence.get``, and every call to ``less`` is counted
-exactly once. ``pivot_index`` is the only place a pivot is chosen.
+exactly once. ``pivot_index`` is the only place a probe's pivot is
+chosen.
+
+``_gap_depths`` is ``gap_depth`` over numpy arrays, with the center
+rules' pivots written out in array form. The sorter uses it
+on large default-``less`` sorts, whose gaps and search lengths it works
+out from the keys' ranks without a chain or a ``binary_insert`` call.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ import enum
 import operator
 from collections.abc import Callable
 from functools import lru_cache
+
+import numpy as np
 
 from .sequence import PosSequence
 
@@ -146,6 +154,37 @@ def gap_depth(m: int, g: int, strategy: Strategy) -> int:
             g -= c
             m -= c
     return depth + m.bit_length()
+
+
+def _bit_lengths(m: np.ndarray) -> np.ndarray:
+    # frexp's exponent of a positive value is its bit length, and 0 for 0;
+    # exact while m < 2^53, where int64 to float64 loses nothing
+    return np.frexp(m)[1].astype(np.int64)
+
+
+def _gap_depths(m: np.ndarray, g: np.ndarray, strategy: Strategy) -> np.ndarray:
+    """``gap_depth`` over int64 arrays: element i is gap_depth(m[i], g[i], strategy).
+
+    Takes 0 <= g <= m < 2^53. LEFT and RIGHT are one comparison with the
+    short-gap count; the center rules run the pivot walk on every element
+    at once, each step on the elements whose candidates do not yet number
+    2^j - 1, so it takes at most max(m).bit_length() steps.
+    """
+    if strategy is Strategy.LEFT or strategy is Strategy.RIGHT:
+        d = _bit_lengths(m)
+        short = (1 << d) - m - 1
+        return d - ((g if strategy is Strategy.LEFT else m - g) < short)
+    bump = 1 if strategy is Strategy.CENTER_LEFT else 2  # pivot_index: (m + bump) // 2
+    depth = np.zeros_like(m)
+    live = (m & (m + 1)) != 0
+    while live.any():
+        c = (m + bump) >> 1
+        low = g < c
+        depth += live
+        m = np.where(live, np.where(low, c - 1, m - c), m)
+        g = np.where(live & ~low, g - c, g)
+        live = (m & (m + 1)) != 0
+    return depth + _bit_lengths(m)
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from mergeinsertion import (
     one_two_insertion,
 )
 from mergeinsertion import sorter
-from mergeinsertion.sorter import _prefer_pair, batch_bound
+from mergeinsertion.sorter import _RANK_MIN, _earlier_below, _prefer_pair, batch_bound
 from oracles import one_two_mean_oracle, prefer_pair_table
 
 
@@ -36,6 +37,13 @@ def test_stretched_bounds_strictly_increase():
         values = [schedule.t(k) for k in range(1, 22)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[0] == 1
+
+
+def test_bounds_are_the_floor_of_the_stretched_bound():
+    for factor in ("1", "1.03", "3/2", "19/10", "1999/1000"):
+        schedule = Schedule(Fraction(factor))
+        for k in range(61):
+            assert schedule.t(k) == math.floor(schedule.factor * batch_bound(k)), (factor, k)
 
 
 def test_factor_domain():
@@ -252,6 +260,7 @@ def distinct_keys(kind, n, rng):
         "int63": lambda: rng.getrandbits(63),
         "negative-float": lambda: -rng.random() * 1e6,
         "str": lambda: format(rng.getrandbits(40), "x"),
+        "tuple": lambda: (rng.getrandbits(3), format(rng.getrandbits(30), "x")),
     }[kind]
     keys: dict = {}
     while len(keys) < n:
@@ -273,6 +282,74 @@ def test_native_order_equals_comparator_walk_on_general_keys(strategy, kind):
             native = all_outcomes(keys, strategy, schedule, operator.lt)
             assert native == all_outcomes(keys, strategy, schedule, walk_less), (n, schedule)
             assert native[0].items == sorted(keys)
+
+
+# on both sides of the size where the default less starts counting from ranks
+RANK_EDGE_SIZES = [_RANK_MIN - 1, _RANK_MIN, _RANK_MIN + 1, 2 * _RANK_MIN - 1, 2 * _RANK_MIN + 1, 4 * _RANK_MIN + 1]
+RANK_EDGE_SIZES += [2 * batch_bound(k) + d for k in range(5, 12) for d in range(3) if batch_bound(k) > _RANK_MIN]
+RANK_SCHEDULES = [Schedule(Fraction(f)) for f in ("1", "1.03", "3/2", "19/10")]
+
+
+@pytest.mark.parametrize("kind", ["int63", "negative-float", "str", "tuple"])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_rank_levels_equal_comparator_walk(strategy, kind):
+    rng = random.Random(f"ranks/{kind}/{strategy.value}")
+    for n in RANK_EDGE_SIZES:
+        keys = distinct_keys(kind, n, rng)
+        for schedule in RANK_SCHEDULES:
+            native = merge_insertion(keys, strategy, schedule, collect_insertions=True)
+            assert native == merge_insertion(keys, strategy, schedule, less=walk_less, collect_insertions=True)
+            assert native.items == sorted(keys)
+            assert all(x is y for x, y in zip(native.items, sorted(keys)))
+            # np.int64 would print differently and change every records digest
+            assert type(native.comparisons) is int
+            assert all(type(field) is int for record in native.insertions for field in record), (n, schedule)
+
+
+@pytest.mark.parametrize("rank_min", [4, 5])
+def test_rank_levels_on_every_small_size(monkeypatch, rank_min):
+    # every level of at least rank_min keys is counted from ranks
+    monkeypatch.setattr(sorter, "_RANK_MIN", rank_min)
+    rng = random.Random(rank_min)
+    for n in range(65):
+        perm = rng.sample(range(n), n)
+        for strategy in Strategy:
+            for schedule in RANK_SCHEDULES:
+                native = merge_insertion(perm, strategy, schedule, collect_insertions=True)
+                assert native == merge_insertion(perm, strategy, schedule, less=walk_less, collect_insertions=True)
+                assert native.items == list(range(n))
+
+
+@pytest.mark.parametrize("w", [0, 1, 2, 3, 7, 8, 9, 100, 1025])
+def test_earlier_below_equals_brute_force(w):
+    rng = random.Random(w)
+    values = rng.sample(range(3 * w + 1), w)
+    queries = [values, [rng.randrange(3 * w + 2) for _ in range(w)], [3 * w + 5] * w]  # the last is a +inf sentinel
+    if w:
+        queries[1][rng.randrange(w)] = 3 * w + 5
+    want = [[sum(values[s] < row[t] for s in range(t)) for t in range(w)] for row in queries]
+    got = _earlier_below(np.array(values, dtype=np.int64), np.array(queries, dtype=np.int64))
+    assert got.tolist() == want
+
+
+def test_rank_levels_build_no_chain(monkeypatch):
+    # with the default less only the levels under _RANK_MIN keys insert into
+    # a PosSequence; a custom less inserts every key it binary-inserts
+    calls = 0
+    real_insert = PosSequence.insert
+
+    def counted_insert(seq, pos, item):
+        nonlocal calls
+        calls += 1
+        real_insert(seq, pos, item)
+
+    monkeypatch.setattr(PosSequence, "insert", counted_insert)
+    keys = random.Random(14).sample(range(1 << 20), 1 << 14)
+    outcome = merge_insertion(keys, collect_insertions=True)
+    assert 0 < calls < 2 * _RANK_MIN
+    calls = 0
+    assert merge_insertion(keys, less=walk_less, collect_insertions=True) == outcome
+    assert calls == len(outcome.insertions)
 
 
 def test_no_sort_builds_a_fenwick(monkeypatch):

@@ -2,9 +2,11 @@ import math
 import operator
 import random
 
+import numpy as np
 import pytest
 
 from mergeinsertion import PosSequence, Strategy, Tally, binary_insert, decision_depths, gap_depth, pivot_index
+from mergeinsertion.strategies import _gap_depths
 
 
 def walk_less(a, b):
@@ -60,6 +62,23 @@ def test_gap_depth_equals_decision_depths():
         for m in range(600):
             depths = decision_depths(m, strategy)
             assert [gap_depth(m, g, strategy) for g in range(m + 1)] == list(depths), (strategy, m)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_gap_depths_array_equals_decision_depths(strategy):
+    m = np.array([m for m in range(301) for _ in range(m + 1)], dtype=np.int64)
+    g = np.array([g for m in range(301) for g in range(m + 1)], dtype=np.int64)
+    want = [d for m in range(301) for d in decision_depths(m, strategy)]
+    assert _gap_depths(m, g, strategy).tolist() == want
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_gap_depths_array_equals_gap_depth_on_long_searches(strategy):
+    rng = random.Random(f"gap-depths/{strategy.value}")
+    pairs = [(m, rng.randrange(m + 1)) for m in (rng.randrange(1 << 20) for _ in range(10_000))]
+    pairs += [(m, g) for m in ((1 << 20) - 1, 1 << 19, (1 << 19) + 1) for g in (0, 1, m // 2, m - 1, m)]
+    ms, gs = np.array(pairs, dtype=np.int64).T
+    assert _gap_depths(ms, gs, strategy).tolist() == [gap_depth(m, g, strategy) for m, g in pairs]
 
 
 @pytest.mark.parametrize("m", [4095, 4096, 4097, 65535, 65536])
