@@ -25,13 +25,17 @@ identity, so keys must be distinct objects (and, when hashable,
 distinct values). The main chain is a PosSequence, addressed by
 position only.
 
-Under the default ``less`` every count is a function of ranks, so
-``merge_insertion`` given at least ``_RANK_MIN`` (512) keys ranks them
-by one stable numpy argsort and counts each recursion level of that
-many keys with a few array calls, building no chain (``_rank_levels``);
-the smaller levels run the chain sort above on the ranks. 512 is about
-where the two cost the same. A custom ``less`` always runs the chain
-sort, which stays the reference the rank counts are tested against.
+Under the default ``less`` every count is a function of ranks, so each
+sort given at least ``_RANK_MIN`` (512) keys ranks them by one stable
+numpy argsort (``_ranked``, which also rejects keys that compare equal,
+hashable or not) and builds no chain for the big steps: ``_rank_levels``
+counts each recursion level of that many keys with a few array calls,
+the smaller levels running the chain sort above on the ranks, and
+``_one_two_count`` counts the whole (1,2)-insertion of
+``one_two_insertion`` and ``combined_sort``. 512 is about where the two
+cost the same. A custom ``less`` always runs the chain sort and
+``_insert_one_two``, which stay the reference the rank counts are
+tested against.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -107,6 +111,9 @@ class SortOutcome:
     insertions: list[tuple[int, int, int, int]] | None = None
 
 
+_NOT_DISTINCT = "keys must be pairwise distinct"
+
+
 def _require_distinct(items: list) -> None:
     # hash-based so no uncounted key comparisons happen; unhashable keys
     # are taken as distinct on the caller's word, but must at least be
@@ -116,7 +123,12 @@ def _require_distinct(items: list) -> None:
     except TypeError:
         unique = len({id(x) for x in items})
     if unique != len(items):
-        raise ValueError("keys must be pairwise distinct")
+        raise ValueError(_NOT_DISTINCT)
+
+
+def _ascending(items: list) -> bool:
+    """Whether each key is below the next under native ``<`` (uncounted)."""
+    return all(map(operator.lt, items, islice(items, 1, None)))
 
 
 def _require_strategy(strategy) -> None:
@@ -316,6 +328,24 @@ def _rank_level(
     return larger, (batch, limit, used)
 
 
+def _ranked(data: list) -> tuple[list, np.ndarray]:
+    """``data`` in ascending native order, and each key's int64 rank in it.
+
+    One stable object argsort. Keys that compare equal, hashable or not,
+    are rejected by native ``<`` on neighbours in that order (uncounted),
+    so no set of the keys is built.
+    """
+    keys = np.fromiter(data, dtype=object, count=len(data))
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order].tolist()
+    del keys
+    if not _ascending(ordered):
+        raise ValueError(_NOT_DISTINCT)
+    ranks = np.empty(len(data), dtype=np.int64)
+    ranks[order] = np.arange(len(data))
+    return ordered, ranks
+
+
 def _rank_levels(
     ranks: np.ndarray,
     strategy: Strategy,
@@ -355,18 +385,13 @@ def merge_insertion(
     _require_strategy(strategy)
     _require_schedule(schedule)
     data = list(items)
-    _require_distinct(data)
     tally = Tally()
     records: list | None = [] if collect_insertions else None
     if less is operator.lt and len(data) >= _RANK_MIN:
-        keys = np.fromiter(data, dtype=object, count=len(data))
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order].tolist()
-        ranks = np.empty(len(data), dtype=np.int64)
-        ranks[order] = np.arange(len(data))
-        del keys, order  # only the ranks go down the levels
+        ordered, ranks = _ranked(data)
         _rank_levels(ranks, strategy, schedule, tally, records)
     else:
+        _require_distinct(data)
         ordered = _merge_insertion_sort(data, strategy, schedule, less, tally, records, 0)
     return SortOutcome(ordered, tally.count, records)
 
@@ -436,6 +461,39 @@ def _insert_one_two(
             i += 1
 
 
+def _one_two_count(prefix: np.ndarray, rest: np.ndarray, strategy: Strategy) -> int:
+    """Comparisons _insert_one_two makes inserting ``rest`` into ``prefix``
+    under native order, both distinct non-negative int64s, ``prefix`` sorted.
+
+    The single-or-pair choice depends on the chain length only, so the
+    walk needs no keys. A pair goes in larger key first; then every key
+    lands in gap g = #{prefix < v} + E(v), where E(v) counts the keys
+    inserted earlier that lie below v. A single key and the larger of a
+    pair search the whole chain, the smaller of a pair the larger's gap.
+    """
+    w = len(rest)
+    base = len(prefix)
+    firsts = []  # time of each pair's first key
+    i = 0
+    while i < w:
+        if i + 1 < w and _prefer_pair(base + i):
+            firsts.append(i)
+            i += 2
+        else:
+            i += 1
+    first = np.array(firsts, dtype=np.int64)
+    values = rest.copy()
+    values[first] = np.maximum(rest[first], rest[first + 1])
+    values[first + 1] = np.minimum(rest[first], rest[first + 1])
+    gap = np.searchsorted(prefix, values) + _earlier_below(values, values[None])[0]
+    limit = base + np.arange(w, dtype=np.int64)
+    limit[first + 1] = gap[first]
+    return len(firsts) + int(_gap_depths(limit, gap, strategy).sum())
+
+
+_UNSORTED_PREFIX = "sorted_prefix must be in ascending order"
+
+
 def one_two_insertion(
     sorted_prefix,
     rest: Iterable,
@@ -452,11 +510,26 @@ def one_two_insertion(
     trees the pair route pays off only while the chain is nearly empty,
     so most elements go in singly. The prefix may be a PosSequence or
     any sorted iterable.
+
+    Under the default ``less`` an unsorted prefix raises ValueError,
+    checked on native ``<`` at no counted comparison, and from
+    ``_RANK_MIN`` keys in all the count comes from ranks
+    (``_one_two_count``), building no chain. A custom ``less`` is trusted
+    to find the prefix sorted: checking it would spend comparisons.
     """
     _require_strategy(strategy)
     prefix_items = list(sorted_prefix)
     rest = list(rest)
+    p = len(prefix_items)
+    if less is operator.lt and p + len(rest) >= _RANK_MIN:
+        ordered, ranks = _ranked(prefix_items + rest)
+        prefix = ranks[:p]
+        if np.any(prefix[1:] < prefix[:-1]):
+            raise ValueError(_UNSORTED_PREFIX)
+        return SortOutcome(ordered, _one_two_count(prefix, ranks[p:], strategy))
     _require_distinct(prefix_items + rest)
+    if less is operator.lt and not _ascending(prefix_items):
+        raise ValueError(_UNSORTED_PREFIX)
     chain = PosSequence.from_items(prefix_items)
     tally = Tally()
     _insert_one_two(chain, rest, strategy, tally, less)
@@ -490,14 +563,26 @@ def combined_sort(
     less: Callable = operator.lt,
 ) -> SortOutcome:
     """Batched sort of the first combined_prefix_size(n) keys, then
-    (1,2)-insertion of the remainder. No keys cost no comparisons."""
+    (1,2)-insertion of the remainder. No keys cost no comparisons.
+
+    Under the default ``less``, from ``_RANK_MIN`` keys on, the keys are
+    ranked once and both phases are counted from the ranks
+    (``_rank_levels``, then ``_one_two_count``), building no chain for
+    the (1,2)-phase.
+    """
     _require_strategy(strategy)
     _require_schedule(schedule)
     data = list(items)
     if not data:
         return SortOutcome([], 0)
-    _require_distinct(data)
     m = combined_prefix_size(len(data))
+    if less is operator.lt and len(data) >= _RANK_MIN:
+        ordered, ranks = _ranked(data)
+        tally = Tally()
+        _rank_levels(ranks[:m], strategy, schedule, tally, None)
+        tally.count += _one_two_count(np.sort(ranks[:m]), ranks[m:], strategy)
+        return SortOutcome(ordered, tally.count)
+    _require_distinct(data)
     head = merge_insertion(data[:m], strategy, schedule, less=less)
     chain = PosSequence.from_items(head.items)
     tally = Tally(head.comparisons)

@@ -23,7 +23,7 @@ from mergeinsertion import (
 )
 from mergeinsertion import sorter
 from mergeinsertion.sorter import _RANK_MIN, _earlier_below, _prefer_pair, batch_bound
-from oracles import one_two_mean_oracle, prefer_pair_table
+from oracles import one_two_cost_by_values, one_two_mean_oracle, prefer_pair_table
 
 
 def test_batch_bounds():
@@ -122,6 +122,43 @@ def test_unhashable_keys_must_be_distinct_objects():
         one_two_insertion([a], [b, a])
     outcome = merge_insertion([[2], [1], [3]], less=lambda x, y: x[0] < y[0])
     assert outcome.items == [[1], [2], [3]]
+
+
+@pytest.mark.parametrize("n", [5, _RANK_MIN])
+def test_one_two_rejects_unsorted_prefix(n):
+    # checked on native <, no counted comparison, under the default less only
+    assert one_two_insertion([5, 1, 3], [2, 4], less=walk_less).items == [5, 1, 2, 3, 4]
+    prefix = list(range(0, 2 * n, 2))
+    prefix[1], prefix[2] = prefix[2], prefix[1]
+    rest = list(range(1, 2 * n, 2))
+    with pytest.raises(ValueError, match="sorted_prefix must be in ascending order"):
+        one_two_insertion(prefix, rest)
+    with pytest.raises(ValueError, match="sorted_prefix must be in ascending order"):
+        one_two_insertion(PosSequence.from_items(prefix), rest)
+
+
+def test_rank_path_rejects_equal_keys():
+    # from _RANK_MIN keys on the default less checks adjacent keys of the
+    # native order, so keys that compare equal fail hashable or not
+    with pytest.raises(ValueError) as chain_error:
+        merge_insertion([1, 2, 1])
+    message = f"^{chain_error.value}$"
+    a = [3]
+    for keys in (
+        list(range(_RANK_MIN)) + [7],
+        [[i] for i in range(_RANK_MIN)] + [[7]],
+        [[i] for i in range(3)] + [a] * 2 + [[i] for i in range(4, _RANK_MIN)],
+    ):
+        with pytest.raises(ValueError, match=message):
+            merge_insertion(keys)
+        with pytest.raises(ValueError, match=message):
+            combined_sort(keys)
+        with pytest.raises(ValueError, match=message):
+            one_two_insertion([], keys)
+        with pytest.raises(ValueError, match=message):
+            one_two_insertion(sorted(keys[:2]), keys[2:])
+    distinct = [[i] for i in range(_RANK_MIN)]
+    assert merge_insertion(distinct) == merge_insertion(distinct, less=walk_less)
 
 
 def test_n5_distribution():
@@ -320,6 +357,52 @@ def test_rank_levels_on_every_small_size(monkeypatch, rank_min):
                 assert native.items == list(range(n))
 
 
+def assert_one_two_equals_walk(prefix, rest, strategy):
+    native = one_two_insertion(prefix, rest, strategy)
+    assert native == one_two_insertion(prefix, rest, strategy, less=walk_less)
+    assert native.comparisons == one_two_cost_by_values(prefix, tuple(rest), strategy)
+    assert native.items == sorted(prefix + rest)
+
+
+@pytest.mark.parametrize("kind", ["int63", "negative-float", "str"])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_rank_one_two_equal_comparator_walk(strategy, kind):
+    # combined_sort and one_two_insertion counted from ranks against the walk
+    rng = random.Random(f"one-two/{kind}/{strategy.value}")
+    # the experiment's sizes run on integer keys and its two factors only,
+    # to keep the walk's time down; the (1,2)-phase does not see the factor
+    for n in RANK_EDGE_SIZES + ([10922, 16383] if kind == "int63" else []):
+        keys = distinct_keys(kind, n, rng)
+        for schedule in RANK_SCHEDULES if n < 10922 else RANK_SCHEDULES[:2]:
+            native = combined_sort(keys, strategy, schedule)
+            assert native == combined_sort(keys, strategy, schedule, less=walk_less), (n, schedule)
+            assert all(x is y for x, y in zip(native.items, sorted(keys)))
+            assert type(native.comparisons) is int
+        half = n // 2
+        if n <= 2 * _RANK_MIN + 1:  # the value oracle is quadratic in n
+            assert_one_two_equals_walk(sorted(keys[:half]), keys[half:], strategy)
+        else:
+            native = one_two_insertion(sorted(keys[:half]), keys[half:], strategy)
+            assert native == one_two_insertion(sorted(keys[:half]), keys[half:], strategy, less=walk_less), n
+
+
+@pytest.mark.parametrize("rank_min", [4, 5])
+def test_rank_one_two_on_every_small_size(monkeypatch, rank_min):
+    # prefixes of 0 and 1 keys run the pair branch first, 2 keys never
+    monkeypatch.setattr(sorter, "_RANK_MIN", rank_min)
+    rng = random.Random(f"one-two/{rank_min}")
+    for n in range(65):
+        perm = rng.sample(range(n), n)
+        for strategy in Strategy:
+            for schedule in RANK_SCHEDULES:
+                native = combined_sort(perm, strategy, schedule)
+                assert native == combined_sort(perm, strategy, schedule, less=walk_less), (n, schedule)
+                assert native.items == list(range(n))
+            for p in (0, 1, 2):
+                if p <= n:
+                    assert_one_two_equals_walk(sorted(perm[:p]), perm[p:], strategy)
+
+
 @pytest.mark.parametrize("w", [0, 1, 2, 3, 7, 8, 9, 100, 1025])
 def test_earlier_below_equals_brute_force(w):
     rng = random.Random(w)
@@ -350,6 +433,15 @@ def test_rank_levels_build_no_chain(monkeypatch):
     calls = 0
     assert merge_insertion(keys, less=walk_less, collect_insertions=True) == outcome
     assert calls == len(outcome.insertions)
+    # the (1,2)-phase builds no chain either
+    calls = 0
+    combined = combined_sort(keys)
+    assert 0 < calls < 2 * _RANK_MIN
+    calls = 0
+    one_two = one_two_insertion([], keys)
+    assert calls == 0
+    assert combined == combined_sort(keys, less=walk_less)
+    assert one_two == one_two_insertion([], keys, less=walk_less)
 
 
 def test_no_sort_builds_a_fenwick(monkeypatch):
