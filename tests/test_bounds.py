@@ -19,7 +19,14 @@ from mergeinsertion import (
     worst_case_W,
 )
 from mergeinsertion import bounds
-from mergeinsertion.bounds import _batch_cost_bound, _binomial_approx_p_exact, _y_tilde_row
+from mergeinsertion.bounds import (
+    _batch_cost_bound,
+    _binomial_approx_p_exact,
+    _blocks,
+    _live_windows,
+    _y_tilde_row,
+    _y_tilde_rows,
+)
 from mergeinsertion.probability import distribution_Y
 from mergeinsertion.sorter import batch_bound
 
@@ -64,12 +71,12 @@ def test_member_cost_equals_sum_over_length_distribution():
             assert t_ins(i, k) == pytest.approx(reference, rel=1e-11, abs=1e-12), (k, i)
 
 
-def fancy_index_y_tilde_row(T, q):
-    """The float Ỹ row with every log-factorial term gathered through an
-    index array, exponentiated whole: the reference for ``_y_tilde_row``."""
+def fancy_index_log_row(T, q):
+    """ln of the float Ỹ row, with every log-factorial term gathered
+    through an index array."""
     lf = bounds._log_fact_table(2 * T + 2 * q)
     j = np.arange(q + 1)
-    logp = (
+    return (
         lf[2 * q - j]
         - lf[j]
         - lf[q - j]
@@ -79,7 +86,18 @@ def fancy_index_y_tilde_row(T, q):
         + lf[T + q - 1]
         - lf[T - 1]
     )
-    return np.exp(logp)
+
+
+def fancy_index_y_tilde_row(T, q):
+    """The float Ỹ row exponentiated whole: the reference for the kernel
+    rows of ``_y_tilde_rows`` and ``_y_tilde_row``."""
+    return np.exp(fancy_index_log_row(T, q))
+
+
+def batch_tops(k):
+    """Full and truncated batch k: (t(k-1), top) for the tops the tests use."""
+    t_prev = batch_bound(k - 1)
+    return [(t_prev, top) for top in sorted({t_prev + 1, t_prev + 2, (t_prev + batch_bound(k)) // 2, batch_bound(k)})]
 
 
 def test_slice_row_is_bit_identical_to_fancy_index_row():
@@ -95,13 +113,88 @@ def test_slice_row_is_bit_identical_to_fancy_index_row():
     assert np.array_equal(row, fancy_index_y_tilde_row(T, q))
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 8, 11])
+@pytest.mark.parametrize("k", range(2, 14))
+def test_kernel_rows_are_bit_identical_to_fancy_index_rows(k):
+    # every member of full and truncated batches, block by block; the
+    # last members have q below the block's window end, so the -inf and
+    # +inf pads of the reversed tables decide their entries past q
+    for t_prev, top in batch_tops(k):
+        Q = top - t_prev
+        weights = bounds._cost_weights(t_prev, top)
+        members = 0
+        for i0, rows in _y_tilde_rows(t_prev, top, Q):
+            assert rows.shape[1] == Q - i0 + 1
+            for i, row in enumerate(rows, i0):
+                q = Q - i
+                reference = fancy_index_y_tilde_row(t_prev + i, q)
+                assert np.array_equal(row[: q + 1], reference), (t_prev, top, i)
+                assert not row[q + 1 :].any()
+                # the member's term is one ddot of the same operands and length
+                assert bounds._member_cost_bound(weights, row, i) == float(reference @ weights[i - 1 :])
+                members += 1
+        assert members == Q
+        if Q >= 2:
+            lo, hi = _live_windows(t_prev, top, Q)
+            q = Q - np.arange(1, Q + 1)
+            past_2q = [b - 1 > 2 * q[r1 - 1] for _r0, r1, _a, b in _blocks(lo, hi)]
+            assert any(past_2q), (t_prev, top)
+
+
+def test_kernel_grows_a_short_log_factorial_table(monkeypatch):
+    # a batch first asked for when the ln(i!) table is far too short
+    monkeypatch.setattr(bounds, "_log_fact", np.zeros(1))
+    t_prev, top = batch_bound(11), batch_bound(12)
+    rows = []
+    for i0, block in _y_tilde_rows(t_prev, top, top - t_prev):
+        rows += [row[: top - t_prev - i + 1].copy() for i, row in enumerate(block, i0)]
+    assert len(bounds._log_fact) > 2 * top
+    for i, row in enumerate(rows, 1):
+        assert np.array_equal(row, fancy_index_y_tilde_row(t_prev + i, top - t_prev - i)), i
+
+
+def test_live_window_holds_every_nonzero_entry():
+    # each end is where ln P crosses the window floor, so the window is
+    # a superset of the nonzero entries and not much more
+    rng = np.random.default_rng(16)
+    pairs = [(1, 0), (1, 5000), (40000, 5000), (2, 1)]
+    pairs += [(int(T), int(q)) for T, q in zip(rng.integers(1, 40000, 60), rng.integers(0, 5001, 60))]
+    for T, q in pairs:
+        (lo,), (hi,) = _live_windows(T - 1, T + q, 1)
+        nonzero = np.flatnonzero(fancy_index_y_tilde_row(T, q))
+        assert lo <= nonzero[0] and nonzero[-1] < hi, (T, q)
+        logp = fancy_index_log_row(T, q)
+        floor = bounds._WINDOW_FLOOR
+        assert logp[lo] > floor - 1e-6 and logp[hi - 1] > floor - 1e-6, (T, q)
+        assert lo == 0 or logp[lo - 1] <= floor + 1e-6, (T, q)
+        assert hi == q + 1 or logp[hi] <= floor + 1e-6, (T, q)
+
+
+def test_log_factorial_prefix_bits_do_not_depend_on_the_table_size(monkeypatch):
+    tables = []
+    for size in (5, 100, 4097, 70000, 300000):
+        monkeypatch.setattr(bounds, "_log_fact", np.zeros(1))
+        tables.append(bounds._log_fact_table(size).copy())
+    monkeypatch.setattr(bounds, "_log_fact", np.zeros(1))
+    for size in (5, 100, 4097, 70000, 300000):  # grown step by step
+        grown = bounds._log_fact_table(size)
+    tables.append(grown.copy())
+    longest = max(tables, key=len).view(np.int64)
+    for table in tables:
+        assert np.array_equal(table.view(np.int64), longest[: len(table)]), len(table)
+
+
+def test_numeric_bound_at_65536_is_pinned():
+    # recorded from the kernel that built one row at a time; blocking the
+    # rows must not move it by one ulp
+    assert numeric_upper_bound_F(65536) == 955877.0331748426
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 11, 13])
 def test_batch_cost_bound_equals_member_sum_with_own_sizes(k):
     # full and truncated batches: each member dots its own row with its
     # own gap counts 2 t_prev + i .. t_prev + top, summed left to right
-    t_prev = batch_bound(k - 1)
-    g = (2 * t_prev).bit_length()
-    for top in sorted({t_prev + 1, t_prev + 2, (t_prev + batch_bound(k)) // 2, batch_bound(k)}):
+    for t_prev, top in batch_tops(k):
+        g = (2 * t_prev).bit_length()
         reference = 0.0
         for i in range(1, top - t_prev + 1):
             q = top - t_prev - i

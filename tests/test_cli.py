@@ -1,11 +1,15 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from mergeinsertion import exact_analysis
-from mergeinsertion.cli import main
+from mergeinsertion import bounds, exact_analysis
+from mergeinsertion.cli import BOUND_N_MAX, main
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +176,11 @@ BAD_ARGUMENTS = {
     "dist-x-member-zero": (("dist", "--k", "3", "--var", "x", "--i", "0"), "member index i=0"),
     "bound-zero-n": (("bound", "--n", "0"), "input sizes must be at least 1"),
     "bound-negative-n": (("bound", "--n", "-5"), "input sizes must be at least 1"),
+    "bound-above-limit": (("bound", "--n", "64,1048577"), "must be at most 1048576 for the numeric bound"),
+    "bound-log-range-above-limit": (
+        ("bound", "--log-range", "64", "1000000000", "3"),
+        "must be at most 1048576 for the numeric bound, got 1000000000",
+    ),
     "sweep-zero-n": (("sweep-factor", "--n", "0", "--trials", "1"), "input sizes must be at least 1"),
     "compare-zero-n": (("compare-algos", "--n", "0", "--trials", "1"), "input sizes must be at least 1"),
     "exact-n-with-n-max": (("exact", "--n", "40", "--n-max", "3"), "--n-max cannot be combined with --n"),
@@ -195,6 +204,34 @@ def test_bad_arguments_exit_with_named_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert "error: " in err and message in err
+
+
+def test_bound_limit_is_checked_before_any_table_grows(monkeypatch, capsys):
+    assert BOUND_N_MAX == 1 << 20
+    small = np.zeros(1)
+    monkeypatch.setattr(bounds, "_log_fact", small)
+    code, out, err = run_cli(capsys, "bound", "--n", str(BOUND_N_MAX + 1))
+    assert (code, out) == (2, "")
+    assert "error: input sizes must be at most 1048576" in err
+    assert bounds._log_fact is small
+
+
+def test_bound_help_states_the_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--help"])
+    assert exc.value.code == 0
+    assert f"1..{BOUND_N_MAX}" in capsys.readouterr().out
+
+
+def test_package_runs_as_a_module():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bounds.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "mergeinsertion", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: mergeinsertion")
+    assert "bound" in done.stdout
 
 
 UNREAD_OPTIONS = {
