@@ -101,6 +101,11 @@ def cmd_count(args) -> int:
     return 0
 
 
+# exact_F's time and memory grow steeply with n: cold, F(1..400) takes
+# 33-38 s at ~280 MB (2 vCPU, Python 3.11)
+EXACT_N_MAX = 400
+
+
 def cmd_exact(args) -> int:
     import math
 
@@ -109,6 +114,8 @@ def cmd_exact(args) -> int:
     if args.n_max is not None and (args.n or args.log_range):
         raise ValueError("--n-max cannot be combined with --n or --log-range")
     ns = range(1, args.n_max + 1) if args.n_max is not None else _parse_ns(args)
+    if max(ns) > EXACT_N_MAX:
+        raise ValueError(f"input sizes must be at most {EXACT_N_MAX} for the exact average, got {max(ns)}")
     strategy = _strategy(args)
     rows = []
     for n in ns:
@@ -123,7 +130,7 @@ def cmd_exact(args) -> int:
 
 
 # dist tables have 2^k rows; at k = 14 the y and x tables take ~3 s each and
-# mean ~100 s, and each step up multiplies these by 4 to 7
+# mean ~0.2 s, and each step up multiplies the y and x times by 4 to 7
 DIST_K_MAX = 14
 
 
@@ -137,7 +144,8 @@ def cmd_dist(args) -> int:
     if args.var == "mean":
         if args.i:
             raise ValueError("--i does not apply to --var mean, which lists every member")
-        rows = [[i, float(probability.mean_Y(k, i))] for i in range(1, width + 1)]
+        means = [float(mean) for mean in probability._means_Y(k)]  # members w down to 1
+        rows = [[i, mean] for i, mean in enumerate(reversed(means), 1)]
         table = Table(["i", "EYi"], rows)
         _emit(table, args)
         return 0
@@ -257,8 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true", help="enumerate all n! permutations (n <= 8)")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("exact", parents=[strategy, out, sizes], help="exact average comparison counts")
-    p.add_argument("--n-max", type=int, default=None, help="compute every size 1..N")
+    p = sub.add_parser(
+        "exact",
+        parents=[strategy, out, sizes],
+        help="exact average comparison counts",
+        description=f"Exact average comparison counts for input sizes 1..{EXACT_N_MAX}.",
+    )
+    p.add_argument("--n-max", type=int, default=None, help=f"compute every size 1..N (N <= {EXACT_N_MAX})")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("dist", parents=[out], help="exact insertion distributions for one batch")

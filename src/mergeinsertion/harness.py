@@ -46,12 +46,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
-        object.__setattr__(self, "factor", Fraction(self.factor))
+        object.__setattr__(self, "factor", Schedule(self.factor).factor)  # also checks the range
         if not self.ns:
             raise ValueError("need at least one input size")
         if any(n < 1 for n in self.ns):
             raise ValueError("input sizes must be at least 1")
-        sort_fn(self.algorithm, self.strategy, self.factor)  # validates the algorithm and the factor range
+        sort_fn(self.algorithm, self.strategy, self.factor)  # validates the algorithm
         _check_trials(self.trials)
         if self.exhaustive and any(n > _EXHAUSTIVE_MAX for n in self.ns):
             raise ValueError(f"exhaustive mode enumerates n! permutations; limited to n <= {_EXHAUSTIVE_MAX}")
@@ -178,7 +178,7 @@ class Table:
 def _factor_label(factor) -> str:
     if isinstance(factor, str):
         return factor
-    return repr(float(Fraction(factor)))
+    return repr(float(factor))
 
 
 def _paired_table(header: list[str], counters, ns, trials: int | None, seed: int) -> Table:
@@ -202,7 +202,7 @@ def sweep_factor(
     """Normalized means of the batched sort under stretched schedules,
     one column per factor; every factor sees the same permutations."""
     header = ["num_elements"] + [_factor_label(f) for f in factors]
-    counters = [_count_fn("mi", strategy, Fraction(f)) for f in factors]
+    counters = [_count_fn("mi", strategy, f) for f in factors]
     return _paired_table(header, counters, ns, trials, seed)
 
 
@@ -218,9 +218,9 @@ def compare_algorithms(
     permutations."""
     header = ["num_elements", "mi", "combined", f"combined-f{_factor_label(variant_factor)}"]
     counters = [
-        _count_fn("mi", strategy, Fraction(1)),
-        _count_fn("combined", strategy, Fraction(1)),
-        _count_fn("combined", strategy, Fraction(variant_factor)),
+        _count_fn("mi", strategy, 1),
+        _count_fn("combined", strategy, 1),
+        _count_fn("combined", strategy, variant_factor),
     ]
     return _paired_table(header, counters, ns, trials, seed)
 

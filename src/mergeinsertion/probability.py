@@ -25,10 +25,11 @@ so either way gives the same numbers.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
 from math import factorial
 
 from .sorter import batch_bound
@@ -140,19 +141,28 @@ def p_Y_recurrence(k: int, i: int, q: int, j: int) -> Fraction:
 def mean_Y(k: int, i: int) -> Fraction:
     """Expected number of elements b_(t(k-1)+i) is inserted into.
 
-    Y is 2 t(k-1) + i - 1 plus the ``p_Y_recurrence`` count at
-    q = t(k) - t(k-1) - i, and taking the mean of that recurrence gives
-    the count's mean E_q directly: E_0 = 0 and
-    E_q = (2T + (2T + 2q) E_(q-1)) / (2T + 2q - 1) with T = t(k-1) + i.
-    E_q is carried as num / den and reduced once.
+    One step of ``_means_Y``'s backward product per member above i.
     """
     _check_member(k, i)
+    return next(islice(_means_Y(k), batch_width(k) - i, None))
+
+
+def _means_Y(k: int) -> Iterator[Fraction]:
+    """mean_Y(k, i) for i = w, w - 1, ..., 1, w = batch_width(k), in one pass.
+
+    Y is 2 t(k-1) + i - 1 plus the ``p_Y_recurrence`` count at
+    q = t(k) - t(k-1) - i, whose mean E_q follows
+    E_q = (2T + (2T + 2q) E_(q-1)) / (2T + 2q - 1), E_0 = 0, with
+    T = t(k-1) + i. So u_q = 2T + E_q obeys
+    u_q = u_(q-1) (2T + 2q) / (2T + 2q - 1), u_0 = 2T, and as T + q = t(k)
+    for every member, S_i = u_q of member i satisfies S_w = 2 t(k) and
+    S_i = S_(i+1) 2T_i / (2T_i + 1); the mean is S_i - i - 1.
+    """
     t = batch_bound(k - 1)
-    T = t + i
-    num, den = 0, 1
-    for q in range(1, batch_width(k) - i + 1):
-        num, den = 2 * T * den + (2 * T + 2 * q) * num, (2 * T + 2 * q - 1) * den
-    return 2 * t + i - 1 + Fraction(num, den)
+    s = Fraction(2 * batch_bound(k))
+    for i in range(batch_width(k), 0, -1):
+        yield s - (i + 1)
+        s *= Fraction(2 * (t + i - 1), 2 * (t + i) - 1)
 
 
 @dataclass(frozen=True)

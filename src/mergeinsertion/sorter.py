@@ -10,6 +10,12 @@ batch schedule, one-or-two-at-a-time insertion into a sorted prefix,
 and a combined algorithm that runs the batched sort up to the nearest
 favourable size and hands the remainder to that insertion.
 
+One engine, ``_sort``, runs all three sorters on one key list and two
+cut points: ``data[:p]`` is a sorted prefix, the head ``data[p:p+h]`` is
+merge-inserted, and the rest is (1,2)-inserted into the prefix plus the
+sorted head. ``merge_insertion`` is (p, h) = (0, n), ``combined_sort``
+(0, combined_prefix_size(n)) and ``one_two_insertion`` (len(prefix), 0).
+
 Keys are opaque; the only way the algorithms learn about them is a
 strict-total-order ``less`` callback. A custom ``less`` is counted
 exactly once per call. The default, ``operator.lt``, lets each binary
@@ -19,23 +25,26 @@ the comparisons the pivot walk would have made, so the counts are the
 same. Each smaller key searches only below its partner, whose chain
 position the batch loop finds by one downward walk over the partners'
 identities, the same for any ``less`` (uncounted: the algorithm knows
-its partners). The recursion moves the keys
-themselves: each larger key finds its smaller partner again by object
-identity, so keys must be distinct objects (and, when hashable,
-distinct values). The main chain is a PosSequence, addressed by
-position only.
+its partners). The recursion moves the keys themselves: each larger key
+finds its smaller partner again by object identity. The main chain is a
+PosSequence, addressed by position only.
 
-Under the default ``less`` every count is a function of ranks, so each
-sort given at least ``_RANK_MIN`` (512) keys ranks them by one stable
-numpy argsort (``_ranked``, which also rejects keys that compare equal,
-hashable or not) and builds no chain for the big steps: ``_rank_levels``
-counts each recursion level of that many keys with a few array calls,
-the smaller levels running the chain sort above on the ranks, and
-``_one_two_count`` counts the whole (1,2)-insertion of
-``one_two_insertion`` and ``combined_sort``. 512 is about where the two
-cost the same. A custom ``less`` always runs the chain sort and
-``_insert_one_two``, which stay the reference the rank counts are
-tested against.
+``_sort`` checks the keys once, at no counted comparison. Under the
+default ``less`` it sorts them natively and requires each to be below
+the next, which rejects keys that compare equal, hashable or not, and
+NaN; the prefix must ascend the same way. A custom ``less`` is trusted
+with the order (checking it would spend comparisons), and its keys must
+be distinct values by hash, or distinct objects when unhashable.
+
+Under the default ``less`` every count is a function of ranks, so from
+``_RANK_MIN`` (512) keys on the native sort is one stable numpy argsort
+(``_ranked``) and no chain is built for the big steps: ``_rank_levels``
+counts each recursion level of the head of that many keys with a few
+array calls, the smaller levels running the chain sort on the ranks,
+and ``_one_two_count`` counts the whole (1,2)-insertion of the rest.
+512 is about where the two cost the same. Below it, and for a custom
+``less``, the chain sort and ``_insert_one_two`` run; they stay the
+reference the rank counts are tested against.
 """
 
 from __future__ import annotations
@@ -68,7 +77,8 @@ def batch_bound(k: int) -> int:
 class Schedule:
     """Batch boundaries floor(factor * t(k)), the plain algorithm at factor 1.
 
-    The factor must lie in [1, 2): below 1 the boundaries are not
+    A float factor is read as the decimal it prints (1.2 as 6/5). The
+    factor must lie in [1, 2): below 1 the boundaries are not
     guaranteed to increase, and at 2 or above the first boundary leaves 1
     so elements between b_2 and b_floor(factor) would never be inserted.
     """
@@ -76,7 +86,7 @@ class Schedule:
     factor: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        factor = Fraction(self.factor)
+        factor = Fraction(repr(float(self.factor)) if isinstance(self.factor, float) else self.factor)
         object.__setattr__(self, "factor", factor)
         if not 1 <= factor < 2:
             raise ValueError(f"schedule factor must be in [1, 2), got {factor}")
@@ -112,12 +122,14 @@ class SortOutcome:
 
 
 _NOT_DISTINCT = "keys must be pairwise distinct"
+_UNSORTED_PREFIX = "sorted_prefix must be in ascending order"
 
 
 def _require_distinct(items: list) -> None:
-    # hash-based so no uncounted key comparisons happen; unhashable keys
-    # are taken as distinct on the caller's word, but must at least be
-    # distinct objects, because the sorter tells partners apart by id()
+    # for a custom less: hash-based, so no key comparison is spent;
+    # unhashable keys are taken as distinct on the caller's word, but must
+    # at least be distinct objects, because the sorter tells partners
+    # apart by id()
     try:
         unique = len(set(items))
     except TypeError:
@@ -126,22 +138,10 @@ def _require_distinct(items: list) -> None:
         raise ValueError(_NOT_DISTINCT)
 
 
-def _ascending(items: list) -> bool:
-    """Whether each key is below the next under native ``<`` (uncounted)."""
-    return all(map(operator.lt, items, islice(items, 1, None)))
-
-
-def _require_strategy(strategy) -> None:
-    # binary_insert tells the rules apart by identity, so a name such as
-    # "left" would fall through to some rule instead of failing
-    if not isinstance(strategy, Strategy):
-        raise ValueError(f"strategy must be a Strategy, got {strategy!r}; see Strategy.from_name")
-
-
-def _require_schedule(schedule) -> None:
-    # a bare factor such as 1.03 would fail deep in the sort, or pass below two keys
-    if not isinstance(schedule, Schedule):
-        raise ValueError(f"schedule must be a Schedule, got {schedule!r}; e.g. Schedule(Fraction('1.03'))")
+def _ascending(items: list, stop: int | None = None) -> bool:
+    """Whether each of the first ``stop`` keys (default all) is below the
+    next under native ``<`` (uncounted)."""
+    return all(map(operator.lt, islice(items, stop), islice(items, 1, stop)))
 
 
 class _Fenwick:
@@ -201,7 +201,7 @@ def _merge_insertion_sort(
     half = n // 2
 
     # pairing phase: one comparison per pair; partners are found by the
-    # identity of the larger key, which _require_distinct makes unique
+    # identity of the larger key, which the key check makes unique
     larger: list = []
     partner: dict[int, object] = {}
     for i in range(half):
@@ -329,18 +329,12 @@ def _rank_level(
 
 
 def _ranked(data: list) -> tuple[list, np.ndarray]:
-    """``data`` in ascending native order, and each key's int64 rank in it.
-
-    One stable object argsort. Keys that compare equal, hashable or not,
-    are rejected by native ``<`` on neighbours in that order (uncounted),
-    so no set of the keys is built.
-    """
+    """``data`` in ascending native order, and each key's int64 rank in it,
+    by one stable object argsort."""
     keys = np.fromiter(data, dtype=object, count=len(data))
     order = np.argsort(keys, kind="stable")
     ordered = keys[order].tolist()
     del keys
-    if not _ascending(ordered):
-        raise ValueError(_NOT_DISTINCT)
     ranks = np.empty(len(data), dtype=np.int64)
     ranks[order] = np.arange(len(data))
     return ordered, ranks
@@ -371,29 +365,6 @@ def _rank_levels(
     if records is not None:
         for depth, batch, limit, used in reversed(kept):
             records.extend(zip(repeat(depth), batch.tolist(), limit.tolist(), used.tolist()))
-
-
-def merge_insertion(
-    items: Iterable,
-    strategy: Strategy = Strategy.LEFT,
-    schedule: Schedule = DEFAULT_SCHEDULE,
-    *,
-    less: Callable = operator.lt,
-    collect_insertions: bool = False,
-) -> SortOutcome:
-    """Sort distinct keys by batched binary insertion, counting comparisons."""
-    _require_strategy(strategy)
-    _require_schedule(schedule)
-    data = list(items)
-    tally = Tally()
-    records: list | None = [] if collect_insertions else None
-    if less is operator.lt and len(data) >= _RANK_MIN:
-        ordered, ranks = _ranked(data)
-        _rank_levels(ranks, strategy, schedule, tally, records)
-    else:
-        _require_distinct(data)
-        ordered = _merge_insertion_sort(data, strategy, schedule, less, tally, records, 0)
-    return SortOutcome(ordered, tally.count, records)
 
 
 def _t_ins_avg_exact(m: int) -> Fraction:
@@ -491,7 +462,68 @@ def _one_two_count(prefix: np.ndarray, rest: np.ndarray, strategy: Strategy) -> 
     return len(firsts) + int(_gap_depths(limit, gap, strategy).sum())
 
 
-_UNSORTED_PREFIX = "sorted_prefix must be in ascending order"
+def _sort(
+    data: list,
+    p: int,
+    h: int,
+    strategy: Strategy,
+    schedule: Schedule,
+    less: Callable,
+    records: list | None,
+) -> SortOutcome:
+    """Merge-insert the head ``data[p:p+h]``, then (1,2)-insert the rest
+    ``data[p+h:]`` into the sorted prefix ``data[:p]`` plus the sorted head.
+
+    The public sorters use p = 0 or h = 0. Every check and the one
+    native-order dispatch are here: under the default ``less`` the keys
+    are sorted natively and must ascend strictly, neighbour by neighbour,
+    and so must the prefix (both uncounted); from ``_RANK_MIN`` keys on,
+    both phases are counted from the ranks of that sort.
+    """
+    # binary_insert tells the rules apart by identity, so a name such as
+    # "left" would fall through to some rule instead of failing
+    if not isinstance(strategy, Strategy):
+        raise ValueError(f"strategy must be a Strategy, got {strategy!r}; see Strategy.from_name")
+    # a bare factor such as 1.03 would fail deep in the sort, or pass below two keys
+    if not isinstance(schedule, Schedule):
+        raise ValueError(f"schedule must be a Schedule, got {schedule!r}; e.g. Schedule(Fraction('1.03'))")
+    tally = Tally()
+    ranks = None
+    if less is operator.lt:
+        if len(data) >= _RANK_MIN:
+            ordered, ranks = _ranked(data)
+        else:
+            ordered = sorted(data)
+        if not _ascending(ordered):
+            raise ValueError(_NOT_DISTINCT)
+        if not _ascending(data, p):
+            raise ValueError(_UNSORTED_PREFIX)
+    else:
+        _require_distinct(data)  # a custom less is trusted to find the prefix sorted
+    if ranks is not None:
+        _rank_levels(ranks[p:p + h], strategy, schedule, tally, records)
+        if p + h < len(data):
+            tally.count += _one_two_count(np.sort(ranks[:p + h]), ranks[p + h:], strategy)
+        return SortOutcome(ordered, tally.count, records)
+    items = data[:p] + _merge_insertion_sort(data[p:p + h], strategy, schedule, less, tally, records, 0)
+    if p + h < len(data):
+        chain = PosSequence.from_items(items)
+        _insert_one_two(chain, data[p + h:], strategy, tally, less)
+        items = chain.to_list()
+    return SortOutcome(items, tally.count, records)
+
+
+def merge_insertion(
+    items: Iterable,
+    strategy: Strategy = Strategy.LEFT,
+    schedule: Schedule = DEFAULT_SCHEDULE,
+    *,
+    less: Callable = operator.lt,
+    collect_insertions: bool = False,
+) -> SortOutcome:
+    """Sort distinct keys by batched binary insertion, counting comparisons."""
+    data = list(items)
+    return _sort(data, 0, len(data), strategy, schedule, less, [] if collect_insertions else None)
 
 
 def one_two_insertion(
@@ -517,23 +549,10 @@ def one_two_insertion(
     (``_one_two_count``), building no chain. A custom ``less`` is trusted
     to find the prefix sorted: checking it would spend comparisons.
     """
-    _require_strategy(strategy)
-    prefix_items = list(sorted_prefix)
-    rest = list(rest)
-    p = len(prefix_items)
-    if less is operator.lt and p + len(rest) >= _RANK_MIN:
-        ordered, ranks = _ranked(prefix_items + rest)
-        prefix = ranks[:p]
-        if np.any(prefix[1:] < prefix[:-1]):
-            raise ValueError(_UNSORTED_PREFIX)
-        return SortOutcome(ordered, _one_two_count(prefix, ranks[p:], strategy))
-    _require_distinct(prefix_items + rest)
-    if less is operator.lt and not _ascending(prefix_items):
-        raise ValueError(_UNSORTED_PREFIX)
-    chain = PosSequence.from_items(prefix_items)
-    tally = Tally()
-    _insert_one_two(chain, rest, strategy, tally, less)
-    return SortOutcome(chain.to_list(), tally.count)
+    data = list(sorted_prefix)
+    p = len(data)
+    data.extend(rest)
+    return _sort(data, p, 0, strategy, DEFAULT_SCHEDULE, less, None)
 
 
 def combined_prefix_size(n: int) -> int:
@@ -542,17 +561,11 @@ def combined_prefix_size(n: int) -> int:
     These are the input sizes (1, 2, 5, 10, 21, 42, ...) where the batched
     sort sits closest to the comparison lower bound; the combined
     algorithm sorts that many elements with it and (1,2)-inserts the rest.
+    floor(2^j / 3) <= n exactly when 2^j <= 3n + 2.
     """
     if n < 1:
         raise ValueError("need at least one element")
-    k = 0
-    best = 1
-    while True:
-        cur = (1 << (k + 2)) // 3
-        if cur > n:
-            return best
-        best = cur
-        k += 1
+    return (1 << ((3 * n + 2).bit_length() - 1)) // 3
 
 
 def combined_sort(
@@ -570,21 +583,5 @@ def combined_sort(
     (``_rank_levels``, then ``_one_two_count``), building no chain for
     the (1,2)-phase.
     """
-    _require_strategy(strategy)
-    _require_schedule(schedule)
     data = list(items)
-    if not data:
-        return SortOutcome([], 0)
-    m = combined_prefix_size(len(data))
-    if less is operator.lt and len(data) >= _RANK_MIN:
-        ordered, ranks = _ranked(data)
-        tally = Tally()
-        _rank_levels(ranks[:m], strategy, schedule, tally, None)
-        tally.count += _one_two_count(np.sort(ranks[:m]), ranks[m:], strategy)
-        return SortOutcome(ordered, tally.count)
-    _require_distinct(data)
-    head = merge_insertion(data[:m], strategy, schedule, less=less)
-    chain = PosSequence.from_items(head.items)
-    tally = Tally(head.comparisons)
-    _insert_one_two(chain, data[m:], strategy, tally, less)
-    return SortOutcome(chain.to_list(), tally.count)
+    return _sort(data, 0, combined_prefix_size(len(data)) if data else 0, strategy, schedule, less, None)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mergeinsertion import bounds, exact_analysis
-from mergeinsertion.cli import BOUND_N_MAX, main
+from mergeinsertion.cli import BOUND_N_MAX, EXACT_N_MAX, main
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +221,26 @@ def test_bound_help_states_the_limit(capsys):
         main(["bound", "--help"])
     assert exc.value.code == 0
     assert f"1..{BOUND_N_MAX}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [("--n", "40,401"), ("--n-max", "401")], ids=["n", "n-max"])
+def test_exact_limit_is_checked_before_any_computation(monkeypatch, capsys, argv):
+    assert EXACT_N_MAX == 400
+
+    def never(n, strategy=None):
+        raise AssertionError("exact_F ran before the size check")
+
+    monkeypatch.setattr(exact_analysis, "exact_F", never)
+    code, out, err = run_cli(capsys, "exact", *argv)
+    assert (code, out) == (2, "")
+    assert "error: input sizes must be at most 400 for the exact average, got 401" in err
+
+
+def test_exact_help_states_the_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--help"])
+    assert exc.value.code == 0
+    assert f"1..{EXACT_N_MAX}" in capsys.readouterr().out
 
 
 def test_package_runs_as_a_module():

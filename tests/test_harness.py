@@ -117,6 +117,15 @@ def test_sweep_factor_reference_column():
         assert row[1] == pytest.approx(stats.normalized, abs=1e-12)
 
 
+def test_float_factor_reads_as_its_decimal():
+    # 1.2 is the factor 6/5 its label prints, not the binary double below it
+    assert ExperimentConfig(ns=(40,), factor=1.2).factor == Fraction(6, 5)
+    table = sweep_factor([40], [1.2, "1.2"], trials=50)
+    assert table.header == ["num_elements", "1.2", "1.2"]
+    assert table.rows[0][1] == table.rows[0][2]
+    assert compare_algorithms([40], trials=20, variant_factor=1.03).rows == compare_algorithms([40], trials=20).rows
+
+
 def test_compare_algorithms_schema():
     table = compare_algorithms((10, 21), trials=15, seed=3)
     assert table.header == ["num_elements", "mi", "combined", "combined-f1.03"]

@@ -126,7 +126,7 @@ def test_oracle_equivalence_small_batches():
 
 
 def test_mean_matches_sum_over_length_distribution():
-    # mean_Y runs the mean recurrence; its definition is sum_j j * p_Y
+    # mean_Y runs the backward product of _means_Y; its definition is sum_j j * p_Y
     for k in range(2, 8):
         t = batch_bound(k - 1)
         for i in range(1, batch_width(k) + 1):

@@ -161,6 +161,35 @@ def test_rank_path_rejects_equal_keys():
     assert merge_insertion(distinct) == merge_insertion(distinct, less=walk_less)
 
 
+@pytest.mark.parametrize("big", [False, True], ids=["chain", "ranks"])
+def test_native_order_checks_keys_at_every_size(big):
+    # under the default less the sorted keys must ascend strictly by native <:
+    # NaN and equal unhashable keys fail below _RANK_MIN as they do from it on
+    pad = [[-i] for i in range(_RANK_MIN, 0, -1)] if big else []
+    nan = float("nan")
+    floats = [float(-i) for i in range(_RANK_MIN, 0, -1)] if big else []
+    for sort in (
+        lambda: merge_insertion(floats + [3.0, nan, 1.0, 2.0]),
+        lambda: combined_sort(floats + [3.0, nan, 1.0, 2.0]),
+        lambda: merge_insertion(pad + [[1], [1], [0]]),
+        lambda: combined_sort(pad + [[1], [1], [0]]),
+        lambda: one_two_insertion(pad + [[0], [1]], [[1]]),
+        lambda: one_two_insertion([], pad + [[0], [1], [1]]),
+    ):
+        with pytest.raises(ValueError, match="^keys must be pairwise distinct$"):
+            sort()
+    assert merge_insertion([[2], [0], [1]]).items == [[0], [1], [2]]
+    assert merge_insertion([nan]).items[0] is nan
+
+
+def test_float_factor_reads_as_its_decimal():
+    assert Schedule(1.2) == Schedule(Fraction("1.2")) == Schedule("1.2")
+    assert [Schedule(1.2).t(k) for k in range(2, 12)] == [3, 6, 13, 25, 51, 102, 205, 409, 819, 1638]
+    assert Schedule(np.float64(1.03)).factor == Fraction(103, 100)
+    with pytest.raises(ValueError):
+        Schedule(float("inf"))
+
+
 def test_n5_distribution():
     counts = [merge_insertion(list(p)).comparisons for p in permutations(range(5))]
     assert Fraction(sum(counts), len(counts)) == Fraction(832, 120)
@@ -550,6 +579,12 @@ def test_combined_prefix_sizes():
         21,
     ]
     assert combined_prefix_size(10922) == 10922
+    # the closed form against the definition's search
+    k = 0
+    for n in range(1, 1 << 14):
+        while (1 << (k + 3)) // 3 <= n:
+            k += 1
+        assert combined_prefix_size(n) == (1 << (k + 2)) // 3, n
     with pytest.raises(ValueError):
         combined_prefix_size(0)
 
