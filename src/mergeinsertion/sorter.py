@@ -37,11 +37,14 @@ with the order (checking it would spend comparisons), and its keys must
 be distinct values by hash, or distinct objects when unhashable.
 
 Under the default ``less`` every count is a function of ranks, so from
-``_RANK_MIN`` (512) keys on the native sort is one stable numpy argsort
-(``_ranked``) and no chain is built for the big steps: ``_rank_levels``
-counts each recursion level of the head of that many keys with a few
-array calls, the smaller levels running the chain sort on the ranks,
-and ``_one_two_count`` counts the whole (1,2)-insertion of the rest.
+``_RANK_MIN`` (512) keys on the native sort is one numpy argsort
+(``_ranked``: of an int64 or float64 array when every key is exactly an
+``int`` in int64 range or exactly a ``float``, else of the object array)
+and no chain is built for the big steps: ``_rank_levels`` counts each
+recursion level of the head of that many keys with a few array calls
+and one dominance count (``_earlier_below``), the smaller levels
+running the chain sort on the ranks, and ``_one_two_count`` counts the
+whole (1,2)-insertion of the rest with one more.
 512 is about where the two cost the same. Below it, and for a custom
 ``less``, the chain sort and ``_insert_one_two`` run; they stay the
 reference the rank counts are tested against.
@@ -257,34 +260,41 @@ def _merge_insertion_sort(
 _RANK_MIN = 512
 
 
-def _earlier_below(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """out[q, t] = #{s < t : values[s] < queries[q, t]}, for non-negative int64s.
+def _earlier_below(values: np.ndarray) -> np.ndarray:
+    """out[t] = #{s < t : values[s] < values[t]}, for distinct int64s.
 
-    An offline dominance count over time blocks: [0, t) is the union of
-    one block of 2^L times for each bit L set in t, namely the block just
-    below t's bits above L. Pass L sorts the values keyed by
-    (time >> L, value), where block B fills sorted positions from B * 2^L
-    on, and finds each query's count in its block by one searchsorted, so
-    ceil(log2 w) passes cover w times. The queries are searched in sorted
-    order, which runs several times faster than in time order.
+    Bottom-up merge ranks: at level L, ``order`` lists the times with each
+    aligned block of 2^L times sorted by value. A key's rank inside its
+    block, less its rank inside its half at level L - 1, counts the keys
+    of the other half below it; only keys of the right half, whose other
+    half is earlier, keep it. Each level's order is a stable argsort of
+    the previous one keyed by (block, value rank), keys that already form
+    two sorted runs per block, so ceil(log2 w) near-linear passes count
+    all w times. Each key's count moves with it from order to order and
+    goes back to time order once, at the end.
     """
     w = len(values)
-    out = np.zeros(queries.shape, dtype=np.int64)
     if w < 2:
-        return out
-    span = int(max(values.max(), queries.max())) + 1
-    times = np.arange(w, dtype=np.int64)
-    for level in range((w - 1).bit_length()):
-        keys = times >> level
-        asking = np.flatnonzero(keys & 1)
-        keys *= span
-        keys += values
-        keys.sort()
-        block = (asking >> level) - 1
-        for row, query in zip(out, queries):
-            needles = query[asking] + block * span
-            order = np.argsort(needles)
-            row[asking[order]] += np.searchsorted(keys, needles[order]) - (block[order] << level)
+        return np.zeros(w, dtype=np.int64)
+    bits = (w - 1).bit_length()
+    rank = np.empty(w, dtype=np.int64)
+    rank[np.argsort(values)] = np.arange(w)
+    order = np.arange(w)
+    position = np.arange(w)
+    count = np.zeros(w, dtype=np.int64)
+    for level in range(1, bits + 1):
+        step = np.argsort(order >> level << bits | rank, kind="stable")
+        order = order[step]
+        rank = rank[step]
+        count = count[step]
+        # (position - block start) - (step - half start), the half starting
+        # 2^(L-1) into the block; kept by right-half keys only
+        below = position - step
+        below += 1 << (level - 1)
+        below *= order >> (level - 1) & 1
+        count += below
+    out = np.empty(w, dtype=np.int64)
+    out[order] = count
     return out
 
 
@@ -299,9 +309,13 @@ def _rank_level(
     b_j (partner a_j, inserted in batch order) lands in gap
     g = #{a_i < b_j} + [b_1 < b_j] + E(b_j) of a search over
     limit = j + E(a_j) keys, where E(v) counts the b's inserted earlier on
-    this level that lie below v. Every b of an earlier batch, and b_1,
-    lies below a_j, so the limit is the chain position of a_j, as in
-    _merge_insertion_sort; the unpaired leftover's a_j is above all keys.
+    this level that lie below v; the unpaired leftover's a_j is above all
+    keys. E(b_j) takes one dominance count (``_earlier_below``), E(a_j)
+    none. The lo - 2 b's of the batches before batch [lo, hi] lie below
+    their partners, so below a_j. Inside the batch, inserted from b_hi
+    down, the a's fall as time runs on: member s, with T_s of the batch's
+    a's above it, lies below a_j exactly at the times t with s < t < T_s.
+    As T_s > s, limit = j + lo - 2 + t - #{s : T_s <= t}, and j + t = hi.
     """
     half = len(ranks) // 2
     low, high = ranks[:half], ranks[half:2 * half]
@@ -313,26 +327,65 @@ def _rank_level(
         b = np.append(b, ranks[-1])
         a = np.append(a, ranks.max() + 1)
     batches = list(schedule.batches(len(b)))
+    size = [hi - lo + 1 for _, lo, hi in batches]
     j = np.concatenate([np.arange(hi, lo - 1, -1) for _, lo, hi in batches])
-    queries = np.stack((b[j - 1], a[j - 1]))
-    gap = np.searchsorted(a, queries[0]) + (queries[0] > b[0])
-    del order, a, b  # freed before the dominance count, where a level's memory peaks
-    below = _earlier_below(queries[0], queries)
-    gap += below[0]
-    limit = j + below[1]
+    values = b[j - 1]
+    # below = #{a_i < b_j}; searching in value order runs over twice as fast
+    by_value = np.argsort(values)
+    below = np.empty_like(values)
+    below[by_value] = np.searchsorted(a, values[by_value])
+    gap = below + (values > b[0])
+    del order, a, b, by_value
+    lo = np.repeat([lo for _, lo, _ in batches], size)
+    hi = np.repeat([hi for _, _, hi in batches], size)
+    start = np.repeat(np.cumsum([0] + size[:-1]), size)
+    # T_s = hi - max(below, lo - 1) >= 1, counted at time start + T_s; a
+    # T_s equal to the batch size lands on the next batch's start, which
+    # the difference taken there leaves out
+    reached = np.cumsum(np.bincount(start + hi - np.maximum(below, lo - 1), minlength=len(j) + 1))
+    limit = lo + hi - 2 - (reached[:len(j)] - reached[start])
+    del below, lo, hi, start, reached  # freed before the dominance count, where a level's memory peaks
+    gap += _earlier_below(values)
     used = _gap_depths(limit, gap, strategy)
     tally.count += half + int(used.sum())
     if not keep:
         return larger, None
-    batch = np.repeat([k for k, _, _ in batches], [hi - lo + 1 for _, lo, hi in batches])
+    batch = np.repeat([k for k, _, _ in batches], size)
     return larger, (batch, limit, used)
 
 
+def _typed(data: list) -> np.ndarray | None:
+    """``data`` as int64s when every key is exactly an ``int`` that fits, as
+    float64s when every key is exactly a ``float``, else None.
+
+    Everything else stays on the object sort: ``bool`` and other int
+    subclasses, numpy scalars, and ints mixed with floats, since 2**53 + 1
+    and 2.0**53 differ natively but not as float64s.
+    """
+    kinds = set(map(type, data))
+    if kinds == {float}:
+        return np.fromiter(data, dtype=np.float64, count=len(data))
+    if kinds == {int}:
+        try:
+            return np.fromiter(data, dtype=np.int64, count=len(data))
+        except OverflowError:
+            return None
+    return None
+
+
 def _ranked(data: list) -> tuple[list, np.ndarray]:
-    """``data`` in ascending native order, and each key's int64 rank in it,
-    by one stable object argsort."""
+    """``data`` in ascending native order, and each key's int64 rank in it.
+
+    Keys that ``_typed`` converts are argsorted as that array, the rest by
+    a stable object argsort; either way the caller's objects come back,
+    the object array taken in that order. The typed sort need not be
+    stable: the caller requires each sorted key to be below the next, so
+    equal keys fail in any order.
+    """
+    typed = _typed(data)
     keys = np.fromiter(data, dtype=object, count=len(data))
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys, kind="stable") if typed is None else np.argsort(typed)
+    del typed
     ordered = keys[order].tolist()
     del keys
     ranks = np.empty(len(data), dtype=np.int64)
@@ -456,7 +509,7 @@ def _one_two_count(prefix: np.ndarray, rest: np.ndarray, strategy: Strategy) -> 
     values = rest.copy()
     values[first] = np.maximum(rest[first], rest[first + 1])
     values[first + 1] = np.minimum(rest[first], rest[first + 1])
-    gap = np.searchsorted(prefix, values) + _earlier_below(values, values[None])[0]
+    gap = np.searchsorted(prefix, values) + _earlier_below(values)
     limit = base + np.arange(w, dtype=np.int64)
     limit[first + 1] = gap[first]
     return len(firsts) + int(_gap_depths(limit, gap, strategy).sum())

@@ -1,3 +1,4 @@
+import enum
 import math
 import operator
 import random
@@ -23,6 +24,7 @@ from mergeinsertion import (
 )
 from mergeinsertion import sorter
 from mergeinsertion.sorter import _RANK_MIN, _earlier_below, _prefer_pair, batch_bound
+from mergeinsertion.strategies import Tally
 from oracles import one_two_cost_by_values, one_two_mean_oracle, prefer_pair_table
 
 
@@ -432,16 +434,113 @@ def test_rank_one_two_on_every_small_size(monkeypatch, rank_min):
                     assert_one_two_equals_walk(sorted(perm[:p]), perm[p:], strategy)
 
 
+def partner_limits(ranks, schedule):
+    """j + #{b inserted earlier on the level below a_j} for each insertion of
+    one level of ``ranks``, in insertion order, by an O(w^2) count."""
+    half = len(ranks) // 2
+    pairs = sorted((max(x, y), min(x, y)) for x, y in zip(ranks[:half], ranks[half:2 * half]))
+    a = [x for x, _ in pairs]
+    b = [y for _, y in pairs]
+    if len(ranks) % 2:
+        a.append(math.inf)  # the odd leftover's partner is above every key
+        b.append(ranks[-1])
+    js = [j for _, lo, hi in schedule.batches(len(b)) for j in range(hi, lo - 1, -1)]
+    inserted = np.array([b[j - 1] for j in js], dtype=float)
+    partner = np.array([a[j - 1] for j in js], dtype=float)
+    earlier = np.tri(len(js), k=-1, dtype=bool)  # [t, s]: s was inserted before t
+    return (np.array(js) + (earlier & (inserted[None, :] < partner[:, None])).sum(axis=1)).tolist()
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_rank_level_limit_equals_brute_force(strategy):
+    # every size to 80 truncates some last batch, with and without an odd leftover
+    rng = random.Random(f"limits/{strategy.value}")
+    for n in [*range(3, 81), 511, 512, 1025, 2049]:
+        ranks = rng.sample(range(3 * n), n)  # distinct but not a permutation, as on deeper levels
+        for schedule in RANK_SCHEDULES:
+            _, (_, limit, _) = sorter._rank_level(np.array(ranks, dtype=np.int64), strategy, schedule, Tally(), keep=True)
+            assert limit.tolist() == partner_limits(ranks, schedule), (n, schedule)
+
+
+def assert_typed(keys, dtype):
+    typed = sorter._typed(keys)
+    assert (typed is None) if dtype is None else (typed.dtype == dtype)
+
+
+def assert_sorts_like_walk(keys):
+    native = merge_insertion(keys, collect_insertions=True)
+    assert native == merge_insertion(keys, less=walk_less, collect_insertions=True)
+    assert all(x is y for x, y in zip(native.items, sorted(keys)))
+    assert combined_sort(keys) == combined_sort(keys, less=walk_less)
+
+
+def test_typed_ranking_takes_ints_in_int64():
+    rng = random.Random("int64-edges")
+    keys = rng.sample(range(-(1 << 40), 1 << 40), 2 * _RANK_MIN) + [-(1 << 63), (1 << 63) - 1]
+    rng.shuffle(keys)
+    assert_typed(keys, np.int64)
+    assert_sorts_like_walk(keys)
+    keys[rng.randrange(len(keys))] = 1 << 63
+    assert_typed(keys, None)
+    assert_sorts_like_walk(keys)
+
+
+def test_typed_ranking_takes_floats():
+    rng = random.Random("floats")
+    keys = [rng.uniform(-1e300, 1e300) for _ in range(2 * _RANK_MIN)] + [math.inf, -math.inf, 5e-324, 0.0]
+    rng.shuffle(keys)
+    assert_typed(keys, np.float64)
+    assert_sorts_like_walk(keys)
+
+
+def test_mixed_ints_and_floats_take_the_object_sort():
+    # 2**53 + 1 and 2.0**53 differ natively but are the same float64
+    rng = random.Random("mixed")
+    keys = [2 ** 53 + 1, 2.0 ** 53] + rng.sample(range(1 << 52), _RANK_MIN) + [rng.random() for _ in range(_RANK_MIN)]
+    rng.shuffle(keys)
+    assert_typed(keys, None)
+    outcome = merge_insertion(keys)
+    assert outcome.items == sorted(keys)
+    assert outcome.items.index(2.0 ** 53) + 1 == outcome.items.index(2 ** 53 + 1)
+    assert_sorts_like_walk(keys)
+
+
+def test_int_subclasses_and_numpy_scalars_take_the_object_sort():
+    rng = random.Random("subclasses")
+    big = enum.IntEnum("Big", {f"k{i}": i for i in range(_RANK_MIN + 3)})
+    for keys in (
+        [False, True] + list(range(2, _RANK_MIN + 3)),
+        list(big),
+        [np.int64(x) for x in rng.sample(range(1 << 40), _RANK_MIN + 3)],
+    ):
+        rng.shuffle(keys)
+        assert_typed(keys, None)
+        assert_sorts_like_walk(keys)
+
+
+@pytest.mark.parametrize("pair", [[math.nan], [-0.0, 0.0], [7, 7]], ids=["nan", "signed-zeros", "equal-ints"])
+def test_typed_ranking_rejects_equal_keys(pair):
+    rng = random.Random("typed-equal")
+    keys = [float(x) if isinstance(pair[0], float) else x for x in rng.sample(range(1, 1 << 20), _RANK_MIN)] + pair
+    rng.shuffle(keys)
+    assert sorter._typed(keys) is not None
+    for sort in (merge_insertion, combined_sort, lambda keys: one_two_insertion([], keys)):
+        with pytest.raises(ValueError, match="^keys must be pairwise distinct$"):
+            sort(keys)
+
+
 @pytest.mark.parametrize("w", [0, 1, 2, 3, 7, 8, 9, 100, 1025])
 def test_earlier_below_equals_brute_force(w):
-    rng = random.Random(w)
-    values = rng.sample(range(3 * w + 1), w)
-    queries = [values, [rng.randrange(3 * w + 2) for _ in range(w)], [3 * w + 5] * w]  # the last is a +inf sentinel
-    if w:
-        queries[1][rng.randrange(w)] = 3 * w + 5
-    want = [[sum(values[s] < row[t] for s in range(t)) for t in range(w)] for row in queries]
-    got = _earlier_below(np.array(values, dtype=np.int64), np.array(queries, dtype=np.int64))
-    assert got.tolist() == want
+    values = random.Random(w).sample(range(3 * w + 1), w)
+    want = [sum(values[s] < values[t] for s in range(t)) for t in range(w)]
+    assert _earlier_below(np.array(values, dtype=np.int64)).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), unique=True, max_size=300))
+def test_earlier_below_property(values):
+    want = [sum(v < values[t] for v in values[:t]) for t in range(len(values))]
+    assert _earlier_below(np.array(values, dtype=np.int64)).tolist() == want
 
 
 def test_rank_levels_build_no_chain(monkeypatch):
