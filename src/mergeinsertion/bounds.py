@@ -30,7 +30,7 @@ from math import comb
 
 import numpy as np
 
-from .sorter import DEFAULT_SCHEDULE, _t_ins_avg_exact, batch_bound
+from .sorter import DEFAULT_SCHEDULE, batch_bound
 from .probability import _check_member, batch_width
 
 LOG2_3 = math.log2(3.0)
@@ -53,6 +53,12 @@ def _log_fact_table(n: int) -> np.ndarray:
         size = max(n + 1, 2 * len(_log_fact))
         _log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
     return _log_fact
+
+
+def _t_ins_avg_exact(m: int) -> Fraction:
+    # expected uniform-position binary-insertion cost over m gaps
+    k = (m - 1).bit_length()
+    return Fraction(k + 1) - Fraction(1 << k, m)
 
 
 def t_ins_avg(m: int) -> float:
@@ -270,11 +276,12 @@ def frac_log2_3n(n: int) -> float:
     """Fractional part of log2(3n), the abscissa fed to c_of_x.
 
     The integer part comes from the bit length, so values next to powers
-    of two cannot round to the wrong side."""
+    of two cannot round to the wrong side; where log2(3n) rounds up to it,
+    as at 3n = 2^k - 1 for even k >= 50, the largest float below 1 is taken."""
     if n < 1:
         raise ValueError("need at least one element")
     z = 3 * n
-    return math.log2(z) - (z.bit_length() - 1)
+    return min(math.log2(z) - (z.bit_length() - 1), math.nextafter(1.0, 0.0))
 
 
 def _binomial_approx_p_exact(k: int, j: int) -> Fraction:

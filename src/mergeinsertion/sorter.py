@@ -6,9 +6,10 @@ elements into the growing main chain in batches. Batch k inserts
 b_t(k), b_t(k)-1, ..., b_t(k-1)+1 where t(k) = (2^(k+1) + (-1)^k) / 3,
 which caps every insertion of that batch at 2^k - 1 chain elements and
 hence at k comparisons. Variants provided here: a factor-stretched
-batch schedule, one-or-two-at-a-time insertion into a sorted prefix,
-and a combined algorithm that runs the batched sort up to the nearest
-favourable size and hands the remainder to that insertion.
+batch schedule, (1,2)-insertion into a sorted prefix, which pairs at most
+its first two keys, into a prefix of 0 or 1 keys (``_prefer_pair``), and
+a combined algorithm that batch-sorts up to the nearest favourable size
+and inserts the remainder by that insertion, never as a pair.
 
 One engine, ``_sort``, runs all three sorters on one key list and two
 cut points: ``data[:p]`` is a sorted prefix, the head ``data[p:p+h]`` is
@@ -62,7 +63,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .sequence import PosSequence
-from .strategies import Strategy, Tally, _gap_depths, binary_insert
+from .strategies import Strategy, Tally, _gap_depths, _not_a_strategy, binary_insert
 
 
 def batch_bound(k: int) -> int:
@@ -260,8 +261,9 @@ def _merge_insertion_sort(
 _RANK_MIN = 512
 
 
-def _earlier_below(values: np.ndarray) -> np.ndarray:
-    """out[t] = #{s < t : values[s] < values[t]}, for distinct int64s.
+def _earlier_below(by_value: np.ndarray) -> np.ndarray:
+    """out[t] = #{s < t : values[s] < values[t]} for distinct values, given
+    their order ``by_value`` (the times in ascending value order).
 
     Bottom-up merge ranks: at level L, ``order`` lists the times with each
     aligned block of 2^L times sorted by value. A key's rank inside its
@@ -273,12 +275,12 @@ def _earlier_below(values: np.ndarray) -> np.ndarray:
     all w times. Each key's count moves with it from order to order and
     goes back to time order once, at the end.
     """
-    w = len(values)
+    w = len(by_value)
     if w < 2:
         return np.zeros(w, dtype=np.int64)
     bits = (w - 1).bit_length()
     rank = np.empty(w, dtype=np.int64)
-    rank[np.argsort(values)] = np.arange(w)
+    rank[by_value] = np.arange(w)
     order = np.arange(w)
     position = np.arange(w)
     count = np.zeros(w, dtype=np.int64)
@@ -335,7 +337,7 @@ def _rank_level(
     below = np.empty_like(values)
     below[by_value] = np.searchsorted(a, values[by_value])
     gap = below + (values > b[0])
-    del order, a, b, by_value
+    del order, a, b, values
     lo = np.repeat([lo for _, lo, _ in batches], size)
     hi = np.repeat([hi for _, _, hi in batches], size)
     start = np.repeat(np.cumsum([0] + size[:-1]), size)
@@ -345,7 +347,8 @@ def _rank_level(
     reached = np.cumsum(np.bincount(start + hi - np.maximum(below, lo - 1), minlength=len(j) + 1))
     limit = lo + hi - 2 - (reached[:len(j)] - reached[start])
     del below, lo, hi, start, reached  # freed before the dominance count, where a level's memory peaks
-    gap += _earlier_below(values)
+    gap += _earlier_below(by_value)
+    del by_value
     used = _gap_depths(limit, gap, strategy)
     tally.count += half + int(used.sum())
     if not keep:
@@ -420,39 +423,27 @@ def _rank_levels(
             records.extend(zip(repeat(depth), batch.tolist(), limit.tolist(), used.tolist()))
 
 
-def _t_ins_avg_exact(m: int) -> Fraction:
-    # expected uniform-position binary-insertion cost over m gaps
-    k = (m - 1).bit_length()
-    return Fraction(k + 1) - Fraction(1 << k, m)
-
-
+# perfbench/workloads.py reads _prefer_pair.cache_info(), so the cache stays
 @lru_cache(maxsize=None)
 def _prefer_pair(m: int) -> bool:
-    """Expected-cost rule for two fresh elements at chain length m.
+    """Whether two fresh keys at chain length m go in as a pair: m < 2.
 
     The pair route costs one ordering comparison, a search of the whole
-    chain for the larger element, and a search below it for the smaller;
-    two single insertions cost a search of m and then of m + 1 elements.
-    The whole-chain search appears on both sides, so the pair route wins
-    exactly when 1 + E[smaller's cost] <= E[second single's cost]. The
-    larger of two fresh keys lands in gap g with probability
-    2(g + 1) / ((m + 1)(m + 2)); everything is evaluated exactly so ties
-    (which favor the pair) are detected reliably.
+    chain for the larger key and a search below it for the smaller; two
+    single insertions search m and then m + 1 keys. The whole-chain
+    search is on both sides, and the larger of two fresh keys lands in
+    gap g with probability 2(g + 1) / (N(N + 1)), N = m + 1, so with
+    T(u) = ceil(log2 u) + 1 - 2^ceil(log2 u) / u, the uniform cost over u
+    gaps, the pair wins (ties too) when
+    1 + sum over u = 1..N of 2u T(u) / (N(N + 1)) <= T(N + 1).
+    As log2 u <= T(u) <= log2 u + 0.0861 and the sum of u log2 u is at
+    least the integral of x log2 x over [0, N], the left side is at least
+    1 + N / (N + 1) (log2 N - 1 / (2 ln 2)), which beats
+    log2(N + 1) + 0.0861 by at least 0.07 from N = 64 on. Below that the
+    exact rationals (``tests/oracles.prefer_pair_table``) give true at
+    m = 0 and m = 1 only.
     """
-    top = m + 1
-    total = 0  # sum over gaps of 2(g+1) * expected smaller-element cost
-    j = 1
-    while (1 << (j - 1)) < top:
-        lo = (1 << (j - 1)) + 1
-        hi = min(1 << j, top)
-        if hi >= lo:
-            sum2u = hi * (hi + 1) - (lo - 1) * lo
-            total += (j + 1) * sum2u - (1 << (j + 1)) * (hi - lo + 1)
-        j += 1
-    # 1 + total / (top (top + 1)) <= _t_ins_avg_exact(m + 2) = k + 1 - 2^k / (top + 1),
-    # multiplied through by top (top + 1) to stay in integers
-    k = top.bit_length()
-    return total + (top << k) <= k * top * (top + 1)
+    return m < 2
 
 
 def _insert_one_two(
@@ -462,57 +453,39 @@ def _insert_one_two(
     tally: Tally,
     less: Callable,
 ) -> None:
-    i = 0
-    n = len(rest)
-    while i < n:
-        if i + 1 < n and _prefer_pair(len(chain)):
-            x = rest[i]
-            y = rest[i + 1]
-            tally.count += 1
-            if less(x, y):
-                small, big = x, y
-            else:
-                small, big = y, x
-            pos = binary_insert(big, chain, 0, len(chain), strategy, tally, less=less)
-            chain.insert(pos, big)
-            pos_small = binary_insert(small, chain, 0, pos, strategy, tally, less=less)
-            chain.insert(pos_small, small)
-            i += 2
-        else:
-            item = rest[i]
-            pos = binary_insert(item, chain, 0, len(chain), strategy, tally, less=less)
-            chain.insert(pos, item)
-            i += 1
+    singles = iter(rest)
+    if len(rest) > 1 and _prefer_pair(len(chain)):
+        x, y = next(singles), next(singles)
+        tally.count += 1
+        small, big = (x, y) if less(x, y) else (y, x)
+        pos = binary_insert(big, chain, 0, len(chain), strategy, tally, less=less)
+        chain.insert(pos, big)
+        chain.insert(binary_insert(small, chain, 0, pos, strategy, tally, less=less), small)
+    for item in singles:
+        chain.insert(binary_insert(item, chain, 0, len(chain), strategy, tally, less=less), item)
 
 
 def _one_two_count(prefix: np.ndarray, rest: np.ndarray, strategy: Strategy) -> int:
     """Comparisons _insert_one_two makes inserting ``rest`` into ``prefix``
     under native order, both distinct non-negative int64s, ``prefix`` sorted.
 
-    The single-or-pair choice depends on the chain length only, so the
-    walk needs no keys. A pair goes in larger key first; then every key
-    lands in gap g = #{prefix < v} + E(v), where E(v) counts the keys
-    inserted earlier that lie below v. A single key and the larger of a
-    pair search the whole chain, the smaller of a pair the larger's gap.
+    Only the first two keys can go in as a pair, larger key first; then
+    every key lands in gap g = #{prefix < v} + E(v), where E(v) counts the
+    keys inserted earlier that lie below v. A single key and the larger of
+    the pair search the whole chain, the smaller the larger's gap.
     """
-    w = len(rest)
-    base = len(prefix)
-    firsts = []  # time of each pair's first key
-    i = 0
-    while i < w:
-        if i + 1 < w and _prefer_pair(base + i):
-            firsts.append(i)
-            i += 2
-        else:
-            i += 1
-    first = np.array(firsts, dtype=np.int64)
-    values = rest.copy()
-    values[first] = np.maximum(rest[first], rest[first + 1])
-    values[first + 1] = np.minimum(rest[first], rest[first + 1])
-    gap = np.searchsorted(prefix, values) + _earlier_below(values)
-    limit = base + np.arange(w, dtype=np.int64)
-    limit[first + 1] = gap[first]
-    return len(firsts) + int(_gap_depths(limit, gap, strategy).sum())
+    pair = len(rest) > 1 and _prefer_pair(len(prefix))
+    values = np.concatenate((np.sort(rest[:2])[::-1], rest[2:])) if pair else rest
+    by_value = np.argsort(values)  # the gap search runs over twice as fast in value order
+    gap = np.empty_like(values)
+    gap[by_value] = np.searchsorted(prefix, values[by_value])
+    del values
+    gap += _earlier_below(by_value)
+    del by_value
+    limit = len(prefix) + np.arange(len(rest), dtype=np.int64)
+    if pair:
+        limit[1] = gap[0]
+    return pair + int(_gap_depths(limit, gap, strategy).sum())
 
 
 def _sort(
@@ -533,10 +506,10 @@ def _sort(
     and so must the prefix (both uncounted); from ``_RANK_MIN`` keys on,
     both phases are counted from the ranks of that sort.
     """
-    # binary_insert tells the rules apart by identity, so a name such as
-    # "left" would fall through to some rule instead of failing
+    # checked before any work: a name such as "left" fails at the first
+    # pivot only, and a sort below two keys makes none
     if not isinstance(strategy, Strategy):
-        raise ValueError(f"strategy must be a Strategy, got {strategy!r}; see Strategy.from_name")
+        raise _not_a_strategy(strategy)
     # a bare factor such as 1.03 would fail deep in the sort, or pass below two keys
     if not isinstance(schedule, Schedule):
         raise ValueError(f"schedule must be a Schedule, got {schedule!r}; e.g. Schedule(Fraction('1.03'))")
@@ -588,13 +561,14 @@ def one_two_insertion(
 ) -> SortOutcome:
     """Insert ``rest`` into an already sorted prefix, one or two at a time.
 
-    At every step the exact expected comparison counts decide the move:
-    either a single binary insertion, or a pair insertion (one comparison
-    orders the two, the larger is binary-inserted into the whole chain,
-    the smaller only into the part below it). Under two-layer search
-    trees the pair route pays off only while the chain is nearly empty,
-    so most elements go in singly. The prefix may be a PosSequence or
-    any sorted iterable.
+    The exact expected comparison counts decide each move: a single
+    binary insertion, or a pair insertion (one comparison orders the two,
+    the larger is binary-inserted into the whole chain, the smaller only
+    into the part below it). Under two-layer search trees the pair pays
+    off only at a chain of 0 or 1 keys (``_prefer_pair``), so at most the
+    first two keys of ``rest`` go in as a pair, into a prefix of 0 or 1
+    keys, and every other key goes in singly. The prefix may be a
+    PosSequence or any sorted iterable.
 
     Under the default ``less`` an unsorted prefix raises ValueError,
     checked on native ``<`` at no counted comparison, and from
@@ -629,7 +603,9 @@ def combined_sort(
     less: Callable = operator.lt,
 ) -> SortOutcome:
     """Batched sort of the first combined_prefix_size(n) keys, then
-    (1,2)-insertion of the remainder. No keys cost no comparisons.
+    (1,2)-insertion of the remainder. No keys cost no comparisons. The
+    sorted prefix holds at least 2 keys whenever a remainder is left, so
+    the remainder goes in singly: no pair is ever taken.
 
     Under the default ``less``, from ``_RANK_MIN`` keys on, the keys are
     ranked once and both phases are counted from the ranks

@@ -70,12 +70,16 @@ class Tally:
         return f"Tally({self.count})"
 
 
+def _not_a_strategy(strategy) -> ValueError:
+    return ValueError(f"strategy must be a Strategy, got {strategy!r}; see Strategy.from_name")
+
+
 def pivot_index(n: int, strategy: Strategy) -> int:
     """1-based pivot position among ``n`` sorted candidates.
 
     With k = floor(log2 n): center-left picks floor((n+1)/2), center-right
     ceil((n+1)/2), left max(n - 2^k + 1, 2^(k-1)) and right
-    min(2^k, n - 2^(k-1) + 1).
+    min(2^k, n - 2^(k-1) + 1). Anything but a Strategy, its name too, raises.
     """
     if n < 1:
         raise ValueError("pivot needs at least one candidate")
@@ -86,7 +90,9 @@ def pivot_index(n: int, strategy: Strategy) -> int:
         return (n + 2) // 2
     if strategy is Strategy.LEFT:
         return max(n - full + 1, full >> 1)
-    return min(full, n - (full >> 1) + 1)
+    if strategy is Strategy.RIGHT:
+        return min(full, n - (full >> 1) + 1)
+    raise _not_a_strategy(strategy)
 
 
 def binary_insert(

@@ -14,6 +14,7 @@ cache must hold exactly one entry per ``(q, strategy)`` state
 from __future__ import annotations
 
 import importlib.util
+import json
 import operator
 import sys
 from pathlib import Path
@@ -58,6 +59,15 @@ def test_traced_names_exist(workloads):
     ]
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in hooks if not hasattr(owner, attr)]
     assert not missing, f"benchmark hooks missing from the package: {missing}"
+
+
+def test_layer_metrics_name_every_per_layer_metric(workloads):
+    # layer_metrics reads caches by name, such as sorter._prefer_pair.cache_info();
+    # run.py adds error_rate and trace.overhead_s itself
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    wanted = {metric["name"] for metric in spec["per_layer"]} - {"error_rate", "trace.overhead_s"}
+    metrics = workloads.layer_metrics(workloads.Tracer(), [])
+    assert not wanted - set(metrics)
 
 
 def test_sorts_reached_through_harness_globals(monkeypatch):

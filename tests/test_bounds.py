@@ -320,6 +320,15 @@ def test_fractional_abscissa():
         assert math.isclose(2 ** (e + x), 3 * n, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("k", [50, 52, 60])
+def test_fractional_abscissa_below_one_where_log2_rounds_up(k):
+    # 3n = 2^k - 1 rounds up to log2 = k, a fraction of 1.0 unclamped
+    n = ((1 << k) - 1) // 3
+    x = frac_log2_3n(n)
+    assert x == math.nextafter(1.0, 0.0)
+    assert c_of_x(x) > 1.4005
+
+
 @pytest.mark.slow
 def test_empirical_mean_below_upper_bound():
     from mergeinsertion import ExperimentConfig, run_experiment

@@ -16,9 +16,10 @@ from mergeinsertion import (
     numeric_upper_bound_F,
     p_X,
 )
+from mergeinsertion.bounds import _t_ins_avg_exact
 from mergeinsertion.exact_analysis import _cost, _member_cost, _position_law, _rank_law
 from mergeinsertion.probability import _y_tilde_closed
-from mergeinsertion.sorter import DEFAULT_SCHEDULE, _t_ins_avg_exact, batch_bound
+from mergeinsertion.sorter import DEFAULT_SCHEDULE, batch_bound
 from oracles import brute_cost, initial_segments
 
 
@@ -135,6 +136,14 @@ def test_strategy_invariance_small_sizes():
         values = {exact_F(n, strategy) for strategy in Strategy}
         assert len(values) == 1
     assert len({exact_F(13, strategy) for strategy in Strategy}) > 1
+
+
+def test_strategy_names_are_rejected():
+    # a name must fail, not give another rule's value (RIGHT's F(13) is 32.84613, LEFT's 32.83914)
+    with pytest.raises(ValueError, match="see Strategy.from_name"):
+        exact_F(13, "left")
+    with pytest.raises(ValueError, match="see Strategy.from_name"):
+        cost(3, 5, "center-left")
 
 
 def test_left_strategy_never_worse_at_small_sizes():

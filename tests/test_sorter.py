@@ -533,14 +533,14 @@ def test_typed_ranking_rejects_equal_keys(pair):
 def test_earlier_below_equals_brute_force(w):
     values = random.Random(w).sample(range(3 * w + 1), w)
     want = [sum(values[s] < values[t] for s in range(t)) for t in range(w)]
-    assert _earlier_below(np.array(values, dtype=np.int64)).tolist() == want
+    assert _earlier_below(np.argsort(np.array(values, dtype=np.int64))).tolist() == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), unique=True, max_size=300))
 def test_earlier_below_property(values):
     want = [sum(v < values[t] for v in values[:t]) for t in range(len(values))]
-    assert _earlier_below(np.array(values, dtype=np.int64)).tolist() == want
+    assert _earlier_below(np.argsort(np.array(values, dtype=np.int64))).tolist() == want
 
 
 def test_rank_levels_build_no_chain(monkeypatch):
@@ -663,7 +663,7 @@ def test_one_two_sorts_and_mean_matches_oracle():
 def test_prefer_pair_matches_rational_reference():
     reference = prefer_pair_table(5000)
     assert [_prefer_pair(m) for m in range(5001)] == reference
-    assert reference[:3] == [True, True, False]
+    assert reference == [m < 2 for m in range(5001)]
 
 
 def test_combined_prefix_sizes():
