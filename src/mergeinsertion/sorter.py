@@ -30,25 +30,26 @@ its partners). The recursion moves the keys themselves: each larger key
 finds its smaller partner again by object identity. The main chain is a
 PosSequence, addressed by position only.
 
-``_sort`` checks the keys once, at no counted comparison. Under the
-default ``less`` it sorts them natively and requires each to be below
-the next, which rejects keys that compare equal, hashable or not, and
-NaN; the prefix must ascend the same way. A custom ``less`` is trusted
-with the order (checking it would spend comparisons), and its keys must
-be distinct values by hash, or distinct objects when unhashable.
+``_sort`` checks the keys once, on the sorted output, at no counted
+comparison. Under the default ``less`` each output key must be below the
+next, which rejects keys that compare equal, hashable or not, and NaN: a
+repeated object always leaves a repeated object in the output, and the
+sort itself never relies on distinct keys to stay in bounds. The prefix
+must ascend the same way, checked before the sort. A custom ``less`` is
+trusted with the order (checking it would spend comparisons), and its
+keys must be distinct values by hash, or distinct objects when
+unhashable.
 
-Under the default ``less`` every count is a function of ranks, so from
-``_RANK_MIN`` (512) keys on the native sort is one numpy argsort
-(``_ranked``: of an int64 or float64 array when every key is exactly an
-``int`` in int64 range or exactly a ``float``, else of the object array)
-and no chain is built for the big steps: ``_rank_levels`` counts each
-recursion level of the head of that many keys with a few array calls
-and one dominance count (``_earlier_below``), the smaller levels
-running the chain sort on the ranks, and ``_one_two_count`` counts the
-whole (1,2)-insertion of the rest with one more.
-512 is about where the two cost the same. Below it, and for a custom
-``less``, the chain sort and ``_insert_one_two`` run; they stay the
-reference the rank counts are tested against.
+Under the default ``less`` every count is a function of ranks, so a sort
+of at least ``_RANK_MIN`` (512) keys builds no chain: the native sort is
+one numpy argsort (``_ranked``: of an int64 or float64 array when every
+key is exactly an ``int`` in int64 range or exactly a ``float``, else of
+the object array), ``_rank_levels`` counts every recursion level of the
+head, down to two keys, with a few array calls and one dominance count
+(``_earlier_below``), and ``_one_two_count`` counts the whole
+(1,2)-insertion of the rest with one more. Smaller sorts, and any sort
+under a custom ``less``, run the chain sort and ``_insert_one_two``; they
+stay the reference the rank counts are tested against.
 """
 
 from __future__ import annotations
@@ -252,12 +253,12 @@ def _merge_insertion_sort(
     return chain.to_list()
 
 
-# Fewest keys of a default-less level counted from ranks; smaller levels
-# run _merge_insertion_sort on their ranks. The crossover, timing whole
-# sorts of n random 63-bit keys with only the top level from ranks against
-# the chain sort, in interleaved pairs (2 vCPU, Python 3.11, numpy 2.4):
-# the rank count was faster in 30 of 133 pairs at n = 448 and in 92 of
-# 117 at n = 512. At 2^14 keys any value from 128 to 2048 costs the same.
+# Fewest keys of a default-less sort counted from ranks; smaller sorts run
+# the chain sort. Timing whole sorts of n random 63-bit keys from ranks
+# against the chain sort, 15 interleaved pairs of 40 sorts (2 vCPU, Python
+# 3.11, numpy 2.4): the ranks were faster in 2 pairs at n = 383 and in all
+# 15 at n = 448 and 511 (medians 0.92 against 1.08 ms at 511), so the
+# crossover lies near 400 and 512 gives up little below it.
 _RANK_MIN = 512
 
 
@@ -301,12 +302,12 @@ def _earlier_below(by_value: np.ndarray) -> np.ndarray:
 
 
 def _rank_level(
-    ranks: np.ndarray, strategy: Strategy, schedule: Schedule, tally: Tally, keep: bool
-) -> tuple[np.ndarray, tuple | None]:
+    ranks: np.ndarray, strategy: Strategy, schedule: Schedule, tally: Tally
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Count one level of the default-less sort of distinct int64 ``ranks``, building no chain.
 
-    Returns the larger keys, which the next level sorts, and, if ``keep``,
-    each insertion's batch, search length and count in insertion order.
+    Returns the larger keys, which the next level sorts, and each
+    insertion's batch, search length and count in insertion order.
     Under native order an insertion's count depends on ranks only: member
     b_j (partner a_j, inserted in batch order) lands in gap
     g = #{a_i < b_j} + [b_1 < b_j] + E(b_j) of a search over
@@ -328,33 +329,30 @@ def _rank_level(
     if len(ranks) % 2:
         b = np.append(b, ranks[-1])
         a = np.append(a, ranks.max() + 1)
-    batches = list(schedule.batches(len(b)))
-    size = [hi - lo + 1 for _, lo, hi in batches]
-    j = np.concatenate([np.arange(hi, lo - 1, -1) for _, lo, hi in batches])
-    values = b[j - 1]
+    # one row per batch; a level of two keys has none
+    k, lo, hi = np.array(list(schedule.batches(len(b))), dtype=np.int64).reshape(-1, 3).T
+    size = hi - lo + 1
+    start = np.repeat(np.cumsum(size) - size, size)
+    lo = np.repeat(lo, size)
+    hi = np.repeat(hi, size)
+    values = b[hi - 1 - (np.arange(len(start)) - start)]
     # below = #{a_i < b_j}; searching in value order runs over twice as fast
     by_value = np.argsort(values)
     below = np.empty_like(values)
     below[by_value] = np.searchsorted(a, values[by_value])
     gap = below + (values > b[0])
     del order, a, b, values
-    lo = np.repeat([lo for _, lo, _ in batches], size)
-    hi = np.repeat([hi for _, _, hi in batches], size)
-    start = np.repeat(np.cumsum([0] + size[:-1]), size)
     # T_s = hi - max(below, lo - 1) >= 1, counted at time start + T_s; a
     # T_s equal to the batch size lands on the next batch's start, which
     # the difference taken there leaves out
-    reached = np.cumsum(np.bincount(start + hi - np.maximum(below, lo - 1), minlength=len(j) + 1))
-    limit = lo + hi - 2 - (reached[:len(j)] - reached[start])
+    reached = np.cumsum(np.bincount(start + hi - np.maximum(below, lo - 1), minlength=len(start) + 1))
+    limit = lo + hi - 2 - (reached[:len(start)] - reached[start])
     del below, lo, hi, start, reached  # freed before the dominance count, where a level's memory peaks
     gap += _earlier_below(by_value)
     del by_value
     used = _gap_depths(limit, gap, strategy)
     tally.count += half + int(used.sum())
-    if not keep:
-        return larger, None
-    batch = np.repeat([k for k, _, _ in batches], size)
-    return larger, (batch, limit, used)
+    return larger, (np.repeat(k, size), limit, used)
 
 
 def _typed(data: list) -> np.ndarray | None:
@@ -405,19 +403,17 @@ def _rank_levels(
 ) -> None:
     """Count the default-less sort of distinct int64 ``ranks`` level by level.
 
-    Each level of at least _RANK_MIN keys is one _rank_level pass of
-    array calls; the rest recurse through _merge_insertion_sort on
-    ``ranks.tolist()``. The records come out deepest level first, as that
-    sort appends them.
+    Every level, down to two keys, is one _rank_level pass of array
+    calls. The records come out deepest level first, as the chain sort
+    appends them.
     """
-    kept = []  # (depth, batch, limit, used) per counted level, when collecting
+    kept = []  # (depth, batch, limit, used) per level, when collecting
     depth = 0
-    while len(ranks) >= _RANK_MIN:
-        ranks, level = _rank_level(ranks, strategy, schedule, tally, records is not None)
-        if level is not None:
+    while len(ranks) > 1:
+        ranks, level = _rank_level(ranks, strategy, schedule, tally)
+        if records is not None:
             kept.append((depth, *level))
         depth += 1
-    _merge_insertion_sort(ranks.tolist(), strategy, schedule, operator.lt, tally, records, depth)
     if records is not None:
         for depth, batch, limit, used in reversed(kept):
             records.extend(zip(repeat(depth), batch.tolist(), limit.tolist(), used.tolist()))
@@ -501,10 +497,11 @@ def _sort(
     ``data[p+h:]`` into the sorted prefix ``data[:p]`` plus the sorted head.
 
     The public sorters use p = 0 or h = 0. Every check and the one
-    native-order dispatch are here: under the default ``less`` the keys
-    are sorted natively and must ascend strictly, neighbour by neighbour,
-    and so must the prefix (both uncounted); from ``_RANK_MIN`` keys on,
-    both phases are counted from the ranks of that sort.
+    native-order dispatch are here. Under the default ``less`` the prefix
+    must ascend strictly, neighbour by neighbour, before the sort, and
+    the sorted output must ascend the same way after it (both
+    uncounted); a sort of at least ``_RANK_MIN`` keys counts both phases
+    from the ranks of one argsort, a smaller one runs the chain sort.
     """
     # checked before any work: a name such as "left" fails at the first
     # pivot only, and a sort below two keys makes none
@@ -514,28 +511,25 @@ def _sort(
     if not isinstance(schedule, Schedule):
         raise ValueError(f"schedule must be a Schedule, got {schedule!r}; e.g. Schedule(Fraction('1.03'))")
     tally = Tally()
-    ranks = None
-    if less is operator.lt:
-        if len(data) >= _RANK_MIN:
-            ordered, ranks = _ranked(data)
-        else:
-            ordered = sorted(data)
-        if not _ascending(ordered):
-            raise ValueError(_NOT_DISTINCT)
+    native = less is operator.lt
+    if native:
         if not _ascending(data, p):
             raise ValueError(_UNSORTED_PREFIX)
     else:
         _require_distinct(data)  # a custom less is trusted to find the prefix sorted
-    if ranks is not None:
+    if native and len(data) >= _RANK_MIN:
+        items, ranks = _ranked(data)
         _rank_levels(ranks[p:p + h], strategy, schedule, tally, records)
         if p + h < len(data):
             tally.count += _one_two_count(np.sort(ranks[:p + h]), ranks[p + h:], strategy)
-        return SortOutcome(ordered, tally.count, records)
-    items = data[:p] + _merge_insertion_sort(data[p:p + h], strategy, schedule, less, tally, records, 0)
-    if p + h < len(data):
-        chain = PosSequence.from_items(items)
-        _insert_one_two(chain, data[p + h:], strategy, tally, less)
-        items = chain.to_list()
+    else:
+        items = data[:p] + _merge_insertion_sort(data[p:p + h], strategy, schedule, less, tally, records, 0)
+        if p + h < len(data):
+            chain = PosSequence.from_items(items)
+            _insert_one_two(chain, data[p + h:], strategy, tally, less)
+            items = chain.to_list()
+    if native and not _ascending(items):
+        raise ValueError(_NOT_DISTINCT)
     return SortOutcome(items, tally.count, records)
 
 
@@ -609,8 +603,7 @@ def combined_sort(
 
     Under the default ``less``, from ``_RANK_MIN`` keys on, the keys are
     ranked once and both phases are counted from the ranks
-    (``_rank_levels``, then ``_one_two_count``), building no chain for
-    the (1,2)-phase.
+    (``_rank_levels``, then ``_one_two_count``), building no chain.
     """
     data = list(items)
     return _sort(data, 0, combined_prefix_size(len(data)) if data else 0, strategy, schedule, less, None)

@@ -174,13 +174,19 @@ def _gap_depths(m: np.ndarray, g: np.ndarray, strategy: Strategy) -> np.ndarray:
     Takes 0 <= g <= m < 2^53. LEFT and RIGHT are one comparison with the
     short-gap count; the center rules run the pivot walk on every element
     at once, each step on the elements whose candidates do not yet number
-    2^j - 1, so it takes at most max(m).bit_length() steps.
+    2^j - 1, so it takes at most max(m).bit_length() steps. Anything but
+    a Strategy, its name too, raises.
     """
     if strategy is Strategy.LEFT or strategy is Strategy.RIGHT:
         d = _bit_lengths(m)
         short = (1 << d) - m - 1
         return d - ((g if strategy is Strategy.LEFT else m - g) < short)
-    bump = 1 if strategy is Strategy.CENTER_LEFT else 2  # pivot_index: (m + bump) // 2
+    if strategy is Strategy.CENTER_LEFT:
+        bump = 1  # pivot_index: (m + bump) // 2
+    elif strategy is Strategy.CENTER_RIGHT:
+        bump = 2
+    else:
+        raise _not_a_strategy(strategy)
     depth = np.zeros_like(m)
     live = (m & (m + 1)) != 0
     while live.any():

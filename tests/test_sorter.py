@@ -184,6 +184,40 @@ def test_native_order_checks_keys_at_every_size(big):
     assert merge_insertion([nan]).items[0] is nan
 
 
+SHARED_LIST = [7]
+BIG = 10 ** 30
+# distinct keys of one kind, and the keys that repeat a value among them
+REPEATS = {
+    "one-small-int": (lambda i: i + 10, [7, 7]),
+    "one-list-twice": (lambda i: [i + 10], [SHARED_LIST, SHARED_LIST]),
+    "equal-big-ints": (lambda i: i + 10, [BIG, int(str(BIG))]),
+    "int-and-float": (lambda i: i + 10, [1, 1.0]),
+    "one-nan": (float, [math.nan]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(REPEATS)),
+    st.one_of(st.integers(1, 40), st.integers(_RANK_MIN - 4, _RANK_MIN + 4)),
+    st.sampled_from(["merge_insertion", "combined_sort", "one_two_insertion"]),
+    st.randoms(use_true_random=False),
+)
+def test_repeated_values_are_rejected_after_the_sort(case, n, sorter_name, rng):
+    # the sort runs first and its output fails the neighbour check; no
+    # repeated value may trip the engine on the way
+    key, repeat = REPEATS[case]
+    keys = [key(i) for i in range(n)] + repeat
+    rng.shuffle(keys)
+    sort = {
+        "merge_insertion": merge_insertion,
+        "combined_sort": combined_sort,
+        "one_two_insertion": lambda keys: one_two_insertion([], keys),
+    }[sorter_name]
+    with pytest.raises(ValueError, match="^keys must be pairwise distinct$"):
+        sort(keys)
+
+
 def test_float_factor_reads_as_its_decimal():
     assert Schedule(1.2) == Schedule(Fraction("1.2")) == Schedule("1.2")
     assert [Schedule(1.2).t(k) for k in range(2, 12)] == [3, 6, 13, 25, 51, 102, 205, 409, 819, 1638]
@@ -374,9 +408,9 @@ def test_rank_levels_equal_comparator_walk(strategy, kind):
             assert all(type(field) is int for record in native.insertions for field in record), (n, schedule)
 
 
-@pytest.mark.parametrize("rank_min", [4, 5])
+@pytest.mark.parametrize("rank_min", [2, 4, 5])
 def test_rank_levels_on_every_small_size(monkeypatch, rank_min):
-    # every level of at least rank_min keys is counted from ranks
+    # every sort of at least rank_min keys is counted from ranks, down to two keys
     monkeypatch.setattr(sorter, "_RANK_MIN", rank_min)
     rng = random.Random(rank_min)
     for n in range(65):
@@ -417,7 +451,7 @@ def test_rank_one_two_equal_comparator_walk(strategy, kind):
             assert native == one_two_insertion(sorted(keys[:half]), keys[half:], strategy, less=walk_less), n
 
 
-@pytest.mark.parametrize("rank_min", [4, 5])
+@pytest.mark.parametrize("rank_min", [2, 4, 5])
 def test_rank_one_two_on_every_small_size(monkeypatch, rank_min):
     # prefixes of 0 and 1 keys run the pair branch first, 2 keys never
     monkeypatch.setattr(sorter, "_RANK_MIN", rank_min)
@@ -455,10 +489,10 @@ def partner_limits(ranks, schedule):
 def test_rank_level_limit_equals_brute_force(strategy):
     # every size to 80 truncates some last batch, with and without an odd leftover
     rng = random.Random(f"limits/{strategy.value}")
-    for n in [*range(3, 81), 511, 512, 1025, 2049]:
+    for n in [*range(2, 81), 511, 512, 1025, 2049]:
         ranks = rng.sample(range(3 * n), n)  # distinct but not a permutation, as on deeper levels
         for schedule in RANK_SCHEDULES:
-            _, (_, limit, _) = sorter._rank_level(np.array(ranks, dtype=np.int64), strategy, schedule, Tally(), keep=True)
+            _, (_, limit, _) = sorter._rank_level(np.array(ranks, dtype=np.int64), strategy, schedule, Tally())
             assert limit.tolist() == partner_limits(ranks, schedule), (n, schedule)
 
 
@@ -544,8 +578,8 @@ def test_earlier_below_property(values):
 
 
 def test_rank_levels_build_no_chain(monkeypatch):
-    # with the default less only the levels under _RANK_MIN keys insert into
-    # a PosSequence; a custom less inserts every key it binary-inserts
+    # with the default less a sort of _RANK_MIN keys or more inserts into no
+    # PosSequence; a custom less inserts every key it binary-inserts
     calls = 0
     real_insert = PosSequence.insert
 
@@ -557,14 +591,14 @@ def test_rank_levels_build_no_chain(monkeypatch):
     monkeypatch.setattr(PosSequence, "insert", counted_insert)
     keys = random.Random(14).sample(range(1 << 20), 1 << 14)
     outcome = merge_insertion(keys, collect_insertions=True)
-    assert 0 < calls < 2 * _RANK_MIN
+    assert calls == 0
     calls = 0
     assert merge_insertion(keys, less=walk_less, collect_insertions=True) == outcome
     assert calls == len(outcome.insertions)
     # the (1,2)-phase builds no chain either
     calls = 0
     combined = combined_sort(keys)
-    assert 0 < calls < 2 * _RANK_MIN
+    assert calls == 0
     calls = 0
     one_two = one_two_insertion([], keys)
     assert calls == 0

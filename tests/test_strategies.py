@@ -190,6 +190,11 @@ def test_strategy_names_round_trip():
 @pytest.mark.parametrize("name", [s.value for s in Strategy])
 def test_strategy_names_are_rejected(name):
     # the rules are told apart by identity, so a name must fail, not pick a rule
-    for call in (lambda: pivot_index(5, name), lambda: decision_depths(6, name), lambda: gap_depth(6, 2, name)):
+    for call in (
+        lambda: pivot_index(5, name),
+        lambda: decision_depths(6, name),
+        lambda: gap_depth(6, 2, name),
+        lambda: _gap_depths(np.array([6]), np.array([2]), name),
+    ):
         with pytest.raises(ValueError, match="see Strategy.from_name"):
             call()
