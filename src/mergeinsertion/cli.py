@@ -102,7 +102,7 @@ def cmd_count(args) -> int:
 
 
 # exact_F's time and memory grow steeply with n: cold, F(1..400) takes
-# 33-38 s at ~280 MB (2 vCPU, Python 3.11)
+# 9-10 s at ~280 MB (2 vCPU, Python 3.11)
 EXACT_N_MAX = 400
 
 

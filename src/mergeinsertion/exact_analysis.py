@@ -16,16 +16,19 @@ b_e in increasing order, each into one of the 2j - 1 gaps below a_j,
 which splits the joint law of (Z, C, W) into three exact parts:
 
 * the lower members fix the law of (C, X), X being the lower members
-  below b_i, so R = C + X is b_i's rank below a_i (``_rank_law``);
-* Z follows the Ỹ law, the row ``probability._y_tilde_terms(i, e - i)``,
-  and does not depend on (C, X);
+  below b_i, so R = C + X is b_i's rank below a_i (``_rank_law``, whose
+  laws advance member by member: b_(i+1)'s come from b_i's by one urn
+  step per old element);
+* Z follows the Ỹ law, the integer row ``probability._y_tilde_terms(i,
+  e - i)``, and does not depend on (C, X);
 * given Z = z, each higher member lands below b_i with probability
   (rank + 1) / (gaps below a_i), a Pólya urn run one member at a time
   (``_position_law``).
 
 The expected cost of b_i given Z = z does not depend on e, so truncated
-batches share it (``_member_cost``). Everything is integers over common
-denominators until one ``Fraction`` per member and z.
+batches share it (``_member_sums``). Everything is integers over common
+denominators: one Horner pass over z sums a member, which ends in one
+``Fraction`` per member, and each batch is costed once per strategy.
 
 The collapsed decision tree stays as ``cost_insert``: the exact path
 length and leaf count of inserting any pending state, which the tests
@@ -140,6 +143,11 @@ def _urn_step(law: list[int], below: int, gaps: int) -> list[int]:
     return nxt
 
 
+# s -> (i, laws, den): laws[c - 1][N] = den * P(N_c = N) for the old
+# elements c = 1 .. s + i - 1 of member b_i of a batch starting after s
+_RANK_STATES: dict[int, tuple[int, list[list[int]], int]] = {}
+
+
 def _rank_law(s: int, i: int) -> tuple[list[list[int]], int]:
     """Joint law of (C, X) for member b_i of a batch starting after s.
 
@@ -150,23 +158,28 @@ def _rank_law(s: int, i: int) -> tuple[list[list[int]], int]:
     With N_0 = 0 and N_(L+1) = i - s - 1, b_i's uniform rank among the
     2i - 1 gaps below a_i gives
     P(C = c, X = x) = [P(N_c <= x) - P(N_(c+1) <= x - 1)] / (2i - 1).
+
+    The laws of N_c advance member by member: from b_j to b_(j+1) each
+    old element takes one ``_urn_step`` with 2j - 1 gaps, and the new old
+    element c = s + j, which every b_(s+1) .. b_j landed below, is a point
+    mass at N = j - s. A state per s keeps the last member's laws and
+    starts again from b_(s+1)'s 2s laws ``[1]`` when asked for an earlier
+    member.
     """
-    old = s + i - 1
+    state = _RANK_STATES.get(s)
+    if state is None or state[0] > i:
+        state = (s + 1, [[1]] * (2 * s), 1)
+    start, laws, den = state
+    for j in range(start, i):
+        gaps = 2 * j - 1
+        laws = [_urn_step(law, c, gaps) for c, law in enumerate(laws, 1)]
+        laws.append([0] * (j - s) + [den * gaps])
+        den *= gaps
+    _RANK_STATES[s] = (i, laws, den)
     lower = i - s - 1
-    den = 1
-    for j in range(s + 1, i):
-        den *= 2 * j - 1
     # cdfs[c][x] = den * P(N_c <= x)
-    cdfs = [[den] * (lower + 1)]
-    for c in range(1, old + 1):
-        law = [1]
-        for j in range(s + 1, i):
-            gaps = 2 * j - 1
-            # law[N] has c + N gaps below the element
-            law = [0] + [v * gaps for v in law] if s + j <= c else _urn_step(law, c, gaps)
-        cdfs.append(list(accumulate(law)))
-    cdfs.append([0] * lower + [den])
-    columns = [[cdfs[c][x] - (cdfs[c + 1][x - 1] if x else 0) for c in range(old + 1)] for x in range(lower + 1)]
+    cdfs = [[den] * (lower + 1), *(list(accumulate(law)) for law in laws), [0] * lower + [den]]
+    columns = [[cdfs[c][x] - (cdfs[c + 1][x - 1] if x else 0) for c in range(len(laws) + 1)] for x in range(lower + 1)]
     return columns, (2 * i - 1) * den
 
 
@@ -202,13 +215,21 @@ def _position_law(s: int, i: int, z: int) -> tuple[tuple[int, ...], int]:
     return laws[z]
 
 
+# (s, i, strategy) -> [den_z * E[decision_depths(s + i - 1 + z)[pos] | Z = z] for z = 0, 1, ...]
+_MEMBER_SUMS: dict[tuple[int, int, Strategy], list[int]] = {}
+
+
+def _member_sums(s: int, i: int, q: int, strategy: Strategy) -> list[int]:
+    """b_i's expected comparisons given Z = z, for z = 0 .. q at least,
+    each an integer over the denominator of ``_position_law(s, i, z)``."""
+    sums = _MEMBER_SUMS.setdefault((s, i, strategy), [])
+    for z in range(len(sums), q + 1):
+        law, _den = _position_law(s, i, z)
+        sums.append(sum(map(mul, law, decision_depths(s + i - 1 + z, strategy))))
+    return sums
+
+
 @lru_cache(maxsize=None)
-def _member_cost(s: int, i: int, z: int, strategy: Strategy) -> Fraction:
-    """Expected comparisons of b_i given Z = z higher members below a_i."""
-    law, den = _position_law(s, i, z)
-    return Fraction(sum(map(mul, law, decision_depths(s + i - 1 + z, strategy))), den)
-
-
 def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
     """Average comparisons to insert batch members b_(s+1) .. b_e into a
     chain already holding 2s settled elements below partner s + 1.
@@ -219,6 +240,11 @@ def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
     ``cost_insert(InsertionState((2s,) + (0,) * (e - s - 1))).average``
     without walking that tree.
 
+    Each member's sum over z is one Horner pass in integers: with
+    P(Z = z) = N_z / D and urn denominators den_z = den_0 (2i)(2i + 1)
+    .. (2i + z - 1), acc <- acc (2i + z - 1) + N_z S_z ends at
+    D den_q times the member's cost, S_z being ``_member_sums``' entry.
+
     ``e == s`` denotes an empty batch and costs 0; ``e < s`` or ``s < 1``
     is a domain error.
     """
@@ -226,16 +252,18 @@ def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
         raise ValueError("batch start must be at least 1")
     if e < s:
         raise ValueError("batch end must not precede its start")
-    return sum(
-        (
-            weight * _member_cost(s, i, z, strategy)
-            for i in range(s + 1, e + 1)
-            for z, weight in enumerate(_y_tilde_terms(i, e - i))
-        ),
-        Fraction(0),
-    )
+    total = Fraction(0)
+    for i in range(s + 1, e + 1):
+        q = e - i
+        weights, den = _y_tilde_terms(i, q)
+        acc = 0
+        for z, (weight, member_sum) in enumerate(zip(weights, _member_sums(s, i, q, strategy))):
+            acc = acc * (2 * i + z - 1) + weight * member_sum
+        total += Fraction(acc, den * _position_law(s, i, q)[1])
+    return total
 
 
+@lru_cache(maxsize=None)
 def exact_G(n: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
     """Average comparisons of the whole insertion phase for n small elements."""
     if n < 1:

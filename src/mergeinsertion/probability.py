@@ -16,11 +16,11 @@ down. Everything here is evaluated in exact rational arithmetic:
 Factorials overflow machine words almost immediately, so all mass
 functions return ``fractions.Fraction``. The point functions evaluate
 their closed forms; the whole-column tables (``distribution_X``,
-``distribution_Y`` and the Ỹ rows behind ``exact_analysis.cost``) take
-one closed-form value and reach every other entry by its exact term
-ratio, a quotient of small integers, so a column costs one set of big
-factorials instead of one per entry. ``Fraction`` values are canonical,
-so either way gives the same numbers.
+``distribution_Y`` and the integer Ỹ rows behind ``exact_analysis.cost``,
+``_y_tilde_terms``) take one closed-form value and reach every other
+entry by its exact term ratio, a quotient of small integers, so a column
+costs one set of big factorials instead of one per entry. ``Fraction``
+values are canonical, so either way gives the same numbers.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, islice
+from itertools import accumulate, groupby, islice, starmap
 from math import factorial
+from operator import mul
 
 from .sorter import batch_bound
 
@@ -111,15 +112,21 @@ def _y_tilde_closed(T: int, q: int, j: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _y_tilde_terms(T: int, q: int) -> list[Fraction]:
-    """The Ỹ row j = 0..q from ``_y_tilde_closed(T, q, 0)`` and the term
-    ratio p(j+1) / p(j) = 2 (2T + j)(q - j) / ((2q - j)(j + 1))."""
-    p = _y_tilde_closed(T, q, 0)
-    row = [p]
+def _y_tilde_ratios(T: int, q: int) -> Iterator[tuple[int, int]]:
+    """The Ỹ row's term ratios p(j+1) / p(j) = 2 (2T + j)(q - j) / ((2q - j)(j + 1)),
+    j = 0..q-1, as (numerator, denominator)."""
     for j in range(q):
-        p *= Fraction(2 * (2 * T + j) * (q - j), (2 * q - j) * (j + 1))
-        row.append(p)
-    return row
+        yield 2 * (2 * T + j) * (q - j), (2 * q - j) * (j + 1)
+
+
+def _y_tilde_terms(T: int, q: int) -> tuple[list[int], int]:
+    """The Ỹ row j = 0..q as integers ``(N, D)``, p(j) = N[j] / D:
+    N[0] = (2q)! (2T-1)! (T+q-1)! / q! and D = (2T+2q-1)! (T-1)!, so that
+    N[0] / D = ``_y_tilde_closed(T, q, 0)``, and each N[j+1] is N[j] times
+    the term ratio, an exact integer division."""
+    first = factorial(2 * q) // factorial(q) * factorial(2 * T - 1) * factorial(T + q - 1)
+    row = list(accumulate(_y_tilde_ratios(T, q), lambda n, ratio: n * ratio[0] // ratio[1], initial=first))
+    return row, factorial(2 * T + 2 * q - 1) * factorial(T - 1)
 
 
 def p_Y_recurrence(k: int, i: int, q: int, j: int) -> Fraction:
@@ -229,7 +236,12 @@ def distribution_Y(k: int, i: int) -> DistTable:
     _check_member(k, i)
     t = batch_bound(k - 1)
     support = range(2 * t + i - 1, 1 << k)
-    mass = dict(zip(support, _y_tilde_terms(t + i, batch_bound(k) - t - i)))
+    T, q = t + i, batch_bound(k) - t - i
+    # by the term ratios from the reduced p(0), at two small gcds per
+    # entry; reducing each N[j] / D of ``_y_tilde_terms`` costs a gcd as
+    # long as D, and made ``dist --k 12 --var y`` ten times slower
+    terms = accumulate(starmap(Fraction, _y_tilde_ratios(T, q)), mul, initial=_y_tilde_closed(T, q, 0))
+    mass = dict(zip(support, terms))
     return DistTable("Y", k, i, None, support, mass)
 
 

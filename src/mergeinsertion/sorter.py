@@ -32,7 +32,8 @@ PosSequence, addressed by position only.
 
 ``_sort`` checks the keys once, on the sorted output, at no counted
 comparison. Under the default ``less`` each output key must be below the
-next, which rejects keys that compare equal, hashable or not, and NaN: a
+next (for keys ``_typed`` converts, on the sorted int64 or float64
+array), which rejects keys that compare equal, hashable or not, and NaN: a
 repeated object always leaves a repeated object in the output, and the
 sort itself never relies on distinct keys to stay in bounds. The prefix
 must ascend the same way, checked before the sort. A custom ``less`` is
@@ -379,15 +380,26 @@ def _ranked(data: list) -> tuple[list, np.ndarray]:
 
     Keys that ``_typed`` converts are argsorted as that array, the rest by
     a stable object argsort; either way the caller's objects come back,
-    the object array taken in that order. The typed sort need not be
-    stable: the caller requires each sorted key to be below the next, so
-    equal keys fail in any order.
+    the object array taken in that order. Each sorted key must be below
+    the next, or ValueError: on the sorted typed array, which rejects
+    what native ``<`` does (NaN, -0.0 beside 0.0, equal keys) at a small
+    share of ``_ascending``'s cost, else on the sorted objects. So the
+    typed sort need not be stable: equal keys fail in any order.
     """
     typed = _typed(data)
     keys = np.fromiter(data, dtype=object, count=len(data))
-    order = np.argsort(keys, kind="stable") if typed is None else np.argsort(typed)
-    del typed
-    ordered = keys[order].tolist()
+    if typed is None:
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order].tolist()
+        if not _ascending(ordered):
+            raise ValueError(_NOT_DISTINCT)
+    else:
+        order = np.argsort(typed)
+        typed = typed[order]
+        if not (typed[1:] > typed[:-1]).all():
+            raise ValueError(_NOT_DISTINCT)
+        del typed
+        ordered = keys[order].tolist()
     del keys
     ranks = np.empty(len(data), dtype=np.int64)
     ranks[order] = np.arange(len(data))
@@ -499,9 +511,10 @@ def _sort(
     The public sorters use p = 0 or h = 0. Every check and the one
     native-order dispatch are here. Under the default ``less`` the prefix
     must ascend strictly, neighbour by neighbour, before the sort, and
-    the sorted output must ascend the same way after it (both
-    uncounted); a sort of at least ``_RANK_MIN`` keys counts both phases
-    from the ranks of one argsort, a smaller one runs the chain sort.
+    the sorted output must ascend the same way (both uncounted); a sort
+    of at least ``_RANK_MIN`` keys counts both phases from the ranks of
+    one argsort, whose output ``_ranked`` checks, a smaller one runs the
+    chain sort and checks its output.
     """
     # checked before any work: a name such as "left" fails at the first
     # pivot only, and a sort below two keys makes none
@@ -522,12 +535,12 @@ def _sort(
         _rank_levels(ranks[p:p + h], strategy, schedule, tally, records)
         if p + h < len(data):
             tally.count += _one_two_count(np.sort(ranks[:p + h]), ranks[p + h:], strategy)
-    else:
-        items = data[:p] + _merge_insertion_sort(data[p:p + h], strategy, schedule, less, tally, records, 0)
-        if p + h < len(data):
-            chain = PosSequence.from_items(items)
-            _insert_one_two(chain, data[p + h:], strategy, tally, less)
-            items = chain.to_list()
+        return SortOutcome(items, tally.count, records)
+    items = data[:p] + _merge_insertion_sort(data[p:p + h], strategy, schedule, less, tally, records, 0)
+    if p + h < len(data):
+        chain = PosSequence.from_items(items)
+        _insert_one_two(chain, data[p + h:], strategy, tally, less)
+        items = chain.to_list()
     if native and not _ascending(items):
         raise ValueError(_NOT_DISTINCT)
     return SortOutcome(items, tally.count, records)

@@ -9,7 +9,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 
+from mergeinsertion.exact_analysis import _urn_step
 from mergeinsertion.sorter import batch_bound, _prefer_pair
 from mergeinsertion.strategies import Strategy, decision_depths
 
@@ -113,6 +115,28 @@ def initial_segments(s: int, e: int) -> tuple[tuple, ...]:
     """Starting segments for inserting b_(s+1) .. b_e over 2s settled elements."""
     base = tuple(("x", r) for r in range(2 * s))
     return (base,) + ((),) * (e - s - 1)
+
+
+def rank_law(s: int, i: int) -> tuple[list[list[int]], int]:
+    """``exact_analysis._rank_law(s, i)`` from scratch: each old element's
+    N_c law is run through every lower member b_(s+1) .. b_(i-1) anew."""
+    old = s + i - 1
+    lower = i - s - 1
+    den = 1
+    for j in range(s + 1, i):
+        den *= 2 * j - 1
+    # cdfs[c][x] = den * P(N_c <= x)
+    cdfs = [[den] * (lower + 1)]
+    for c in range(1, old + 1):
+        law = [1]
+        for j in range(s + 1, i):
+            gaps = 2 * j - 1
+            # law[N] has c + N gaps below the element
+            law = [0] + [v * gaps for v in law] if s + j <= c else _urn_step(law, c, gaps)
+        cdfs.append(list(accumulate(law)))
+    cdfs.append([0] * lower + [den])
+    columns = [[cdfs[c][x] - (cdfs[c + 1][x - 1] if x else 0) for c in range(old + 1)] for x in range(lower + 1)]
+    return columns, (2 * i - 1) * den
 
 
 def prefer_pair_table(m_max: int) -> list[bool]:

@@ -17,10 +17,11 @@ from mergeinsertion import (
     p_X,
 )
 from mergeinsertion.bounds import _t_ins_avg_exact
-from mergeinsertion.exact_analysis import _cost, _member_cost, _position_law, _rank_law
+from mergeinsertion.exact_analysis import _RANK_STATES, _cost, _position_law, _rank_law
 from mergeinsertion.probability import _y_tilde_closed
 from mergeinsertion.sorter import DEFAULT_SCHEDULE, batch_bound
-from oracles import brute_cost, initial_segments
+from mergeinsertion.strategies import decision_depths
+from oracles import brute_cost, initial_segments, rank_law
 
 
 def test_leaf_state():
@@ -181,10 +182,16 @@ def test_member_sum_matches_tree_on_every_reached_batch(strategy, n_max, fresh_t
         assert cost(s, e, strategy) == cost_insert(state, strategy).average, (s, e)
 
 
+def _member_cost(s: int, i: int, z: int, strategy: Strategy) -> Fraction:
+    """Expected comparisons of b_i given Z = z, as one Fraction."""
+    law, den = _position_law(s, i, z)
+    return Fraction(sum(p * d for p, d in zip(law, decision_depths(s + i - 1 + z, strategy))), den)
+
+
 @pytest.mark.parametrize("strategy", [Strategy.LEFT, Strategy.CENTER_RIGHT], ids=lambda v: v.value)
 def test_cost_equals_closed_form_sum_over_z(strategy):
-    # cost takes each member's Ỹ weights from one term-ratio row; the
-    # reference evaluates the closed form once per (i, z)
+    # cost sums each member in integers, its Ỹ weights from one term-ratio
+    # row; the reference takes the closed form and one Fraction per (i, z)
     for e in range(1, 41):
         for s in range(1, e + 1):
             reference = sum(
@@ -196,6 +203,20 @@ def test_cost_equals_closed_form_sum_over_z(strategy):
                 Fraction(0),
             )
             assert cost(s, e, strategy) == reference, (s, e)
+
+
+def test_rank_laws_equal_the_from_scratch_laws():
+    # every member that exact_F reaches up to n = 148, in the order a
+    # cold run asks for them, then in descending order, where each state
+    # has gone past the member and must start again, then from no state
+    members = sorted({(s, i) for s, e in _reached_batches(148) for i in range(s + 1, e + 1)})
+    for s, i in members:
+        assert _rank_law(s, i) == rank_law(s, i), (s, i)
+    for s, i in members[::-1][::7]:
+        assert _rank_law(s, i) == rank_law(s, i), (s, i)
+    _RANK_STATES.clear()
+    for s, i in members[::7]:
+        assert _rank_law(s, i) == rank_law(s, i), (s, i)
 
 
 def test_member_laws_are_exact_distributions():

@@ -1,7 +1,8 @@
 """Golden values of the exact analysis, pinned.
 
 For each pivot strategy this pins the sha256 of the integers
-F(n) * n! for n = 1..60, and the exact (path length, leaf count) of the
+F(n) * n! for n = 1..60 and for n = 1..148, the paper's exact range,
+and the exact (path length, leaf count) of the
 collapsed decision tree for a fixed list of insertion states, evaluated
 with a fresh caller-supplied memo. A change to how ``_cost`` keys,
 stores or walks its states must leave every value untouched.
@@ -9,7 +10,10 @@ stores or walks its states must leave every value untouched.
 The table was recorded while ``_cost`` memoized its states under
 ``(q, strategy)`` tuples, and every value held unchanged both under the
 packed-integer keys that replaced them and after the return to tuple
-keys. ``python tests/test_exact_golden.py`` (with ``src``
+keys. The 1..148 digests were recorded from the member sum that summed
+one ``Fraction`` per (member, z) and rebuilt each member's rank laws
+from scratch, and pin the integer member sums that replaced it.
+``python tests/test_exact_golden.py`` (with ``src``
 on ``PYTHONPATH``) prints the current values in the same source form,
 for a change that is meant to alter them.
 """
@@ -26,6 +30,7 @@ from mergeinsertion import InsertionState, Strategy, cost_insert, exact_F
 from mergeinsertion.exact_analysis import _cost
 
 N_MAX = 60
+N_MAX_PAPER = 148
 
 STATES = (
     (2,),
@@ -41,10 +46,10 @@ STATES = (
 )
 
 
-def scaled_digest(strategy: Strategy) -> str:
-    """sha256 of [F(n) * n! for n in 1..N_MAX] under one strategy."""
+def scaled_digest(strategy: Strategy, n_max: int = N_MAX) -> str:
+    """sha256 of [F(n) * n! for n in 1..n_max] under one strategy."""
     values = []
-    for n in range(1, N_MAX + 1):
+    for n in range(1, n_max + 1):
         scaled = exact_F(n, strategy) * math.factorial(n)
         assert scaled.denominator == 1
         values.append(scaled.numerator)
@@ -56,6 +61,13 @@ EXPECTED_SCALED = {
     'center-right': 'fc753d657ca6c499ac8e30bf3f3c5b18783a08aa0db460c950c535736a34f249',
     'left': '4da35bfc4f8d2e7068724000c8e87433cfdd82c30c14664bc217299eef0ad268',
     'right': '283007c80ce248e51121c547efb79542bbe59ed347c8c0950bb3d1cfb7cd2e7a',
+}
+
+EXPECTED_SCALED_PAPER = {
+    'center-left': '526be08e151add23128c615f8c082351fdb77ee48583ec5e8993cc4498809b91',
+    'center-right': '1db0e5591fec685eae9ffab8ef94aad066c0d890f0e5c27c867182c1400aaadd',
+    'left': '93b67b6be41a335d01acbff3cb9571cc7a313cb62e729727f00730db7c58e058',
+    'right': '304c8888a4ad78c38cc2189c3ecd269e246a1c24db319d1bfed9e732f7fc1b5c',
 }
 
 EXPECTED_COST = {
@@ -116,6 +128,11 @@ def test_scaled_averages_match_golden(strategy):
 
 
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_scaled_averages_match_golden_over_the_paper_range(strategy):
+    assert scaled_digest(strategy, N_MAX_PAPER) == EXPECTED_SCALED_PAPER[strategy.value]
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_state_costs_match_golden(strategy):
     got = {q: _cost(q, strategy) for q in STATES}
     assert got == EXPECTED_COST[strategy.value]
@@ -140,6 +157,11 @@ if __name__ == "__main__":
     print("EXPECTED_SCALED = {")
     for strategy in Strategy:
         print(f"    {strategy.value!r}: {scaled_digest(strategy)!r},")
+    print("}")
+    print()
+    print("EXPECTED_SCALED_PAPER = {")
+    for strategy in Strategy:
+        print(f"    {strategy.value!r}: {scaled_digest(strategy, N_MAX_PAPER)!r},")
     print("}")
     print()
     print("EXPECTED_COST = {")

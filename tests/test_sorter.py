@@ -552,15 +552,36 @@ def test_int_subclasses_and_numpy_scalars_take_the_object_sort():
         assert_sorts_like_walk(keys)
 
 
-@pytest.mark.parametrize("pair", [[math.nan], [-0.0, 0.0], [7, 7]], ids=["nan", "signed-zeros", "equal-ints"])
-def test_typed_ranking_rejects_equal_keys(pair):
+EQUAL_PAIRS = pytest.mark.parametrize("pair", [[math.nan], [-0.0, 0.0], [7, 7]], ids=["nan", "signed-zeros", "equal-ints"])
+
+
+def typed_keys_with(pair: list) -> list:
     rng = random.Random("typed-equal")
     keys = [float(x) if isinstance(pair[0], float) else x for x in rng.sample(range(1, 1 << 20), _RANK_MIN)] + pair
     rng.shuffle(keys)
-    assert sorter._typed(keys) is not None
+    return keys
+
+
+def assert_every_sorter_rejects(keys):
     for sort in (merge_insertion, combined_sort, lambda keys: one_two_insertion([], keys)):
         with pytest.raises(ValueError, match="^keys must be pairwise distinct$"):
             sort(keys)
+
+
+@EQUAL_PAIRS
+def test_typed_ranking_rejects_equal_keys(pair):
+    keys = typed_keys_with(pair)
+    assert sorter._typed(keys) is not None
+    assert_every_sorter_rejects(keys)
+
+
+@EQUAL_PAIRS
+def test_object_ranking_rejects_the_same_keys(pair, monkeypatch):
+    # the typed route checks the sorted int64/float64 array, the object
+    # route the sorted objects; both must reject what native < rejects
+    keys = typed_keys_with(pair)
+    monkeypatch.setattr(sorter, "_typed", lambda data: None)
+    assert_every_sorter_rejects(keys)
 
 
 @pytest.mark.parametrize("w", [0, 1, 2, 3, 7, 8, 9, 100, 1025])
