@@ -10,6 +10,7 @@ arithmetic before the final division; the reported normalized mean is
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +46,10 @@ class ExperimentConfig:
     exhaustive: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
+        # a str would iterate as digits and int() truncate a float without a word
+        if isinstance(self.ns, str):
+            raise TypeError(f"ns must be a sequence of integer sizes, got {self.ns!r}")
+        object.__setattr__(self, "ns", tuple(map(operator.index, self.ns)))
         object.__setattr__(self, "factor", Schedule(self.factor).factor)  # also checks the range
         if not self.ns:
             raise ValueError("need at least one input size")
@@ -90,6 +94,7 @@ def sort_fn(algorithm: str, strategy: Strategy, factor: Fraction):
 
     The sorts are looked up among this module's globals at call time, so
     a wrapper installed on ``harness.merge_insertion`` sees every call.
+    ``one-two`` has no batch schedule to stretch, so it takes factor 1 only.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -97,6 +102,8 @@ def sort_fn(algorithm: str, strategy: Strategy, factor: Fraction):
     if algorithm == "mi":
         return lambda keys: merge_insertion(keys, strategy, schedule)
     if algorithm == "one-two":
+        if schedule.factor != 1:
+            raise ValueError(f"algorithm 'one-two' takes no schedule factor, got {schedule.factor}")
         return lambda keys: one_two_insertion([], keys, strategy)
     return lambda keys: combined_sort(keys, strategy, schedule)
 

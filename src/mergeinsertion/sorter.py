@@ -28,7 +28,7 @@ position the batch loop finds by one downward walk over the partners'
 identities, the same for any ``less`` (uncounted: the algorithm knows
 its partners). The recursion moves the keys themselves: each larger key
 finds its smaller partner again by object identity. The main chain is a
-PosSequence, addressed by position only.
+PosSequence, a list whose ``get`` the pivot walk reads each probe with.
 
 ``_sort`` checks the keys once, on the sorted output, at no counted
 comparison. Under the default ``less`` each output key must be below the
@@ -240,7 +240,7 @@ def _merge_insertion_sort(
             if j > half:
                 limit = len(chain)  # unpaired element searches the whole chain
             else:
-                # chain[p], not chain.get(p): a partner read is not a probe
+                # plain indexing, not chain.get(p): a partner read is not a probe
                 while chain[p] is not a_sorted[j - 1]:
                     p -= 1
                 limit = p
@@ -256,10 +256,13 @@ def _merge_insertion_sort(
 
 # Fewest keys of a default-less sort counted from ranks; smaller sorts run
 # the chain sort. Timing whole sorts of n random 63-bit keys from ranks
-# against the chain sort, 15 interleaved pairs of 40 sorts (2 vCPU, Python
-# 3.11, numpy 2.4): the ranks were faster in 2 pairs at n = 383 and in all
-# 15 at n = 448 and 511 (medians 0.92 against 1.08 ms at 511), so the
-# crossover lies near 400 and 512 gives up little below it.
+# against the chain sort on its plain-list chain, interleaved pairs of 20
+# sorts (2 vCPU, Python 3.11, numpy 2.4): the chain sort was faster in 11
+# of 15 pairs at n = 512 (medians 0.79 against 0.86 ms) and in 9 and 8 of
+# 10 in two more runs, in 7 to 8 of 10 at 576 and 640, in 1 of 10 at 704
+# and in none of 15 at 768 (1.20 against 1.07 ms). The crossover lies
+# between 640 and 704, but below it the chain gains under 15% and loses
+# about one pair in five, so the threshold stays at 512.
 _RANK_MIN = 512
 
 
@@ -574,8 +577,8 @@ def one_two_insertion(
     into the part below it). Under two-layer search trees the pair pays
     off only at a chain of 0 or 1 keys (``_prefer_pair``), so at most the
     first two keys of ``rest`` go in as a pair, into a prefix of 0 or 1
-    keys, and every other key goes in singly. The prefix may be a
-    PosSequence or any sorted iterable.
+    keys, and every other key goes in singly. The prefix may be any
+    sorted iterable, a PosSequence too; it is copied, never changed.
 
     Under the default ``less`` an unsorted prefix raises ValueError,
     checked on native ``<`` at no counted comparison, and from

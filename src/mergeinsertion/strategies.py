@@ -10,14 +10,14 @@ Tally, and nothing else ever touches the counter.
 
 What is charged depends on the ``less`` given to ``binary_insert``.
 With the default ``operator.lt`` the keys' own order is the order, so
-the gap is found by C bisection (``PosSequence.bisect_right``) and the
-insertion is charged that gap's depth in the strategy's decision tree
-(``gap_depth``): exactly the comparisons the pivot walk would have
-made, since both test ``item < chain[i]``. Any other ``less`` drives the
-pivot walk itself: each probe takes its pivot from ``pivot_index`` and
-reads it with ``PosSequence.get``, and every call to ``less`` is counted
-exactly once. ``pivot_index`` is the only place a probe's pivot is
-chosen.
+the gap is found by C bisection (``bisect.bisect_right`` on the chain)
+and the insertion is charged that gap's depth in the strategy's
+decision tree (``gap_depth``): exactly the comparisons the pivot walk
+would have made, since both test ``item < chain[i]``. Any other
+``less`` drives the pivot walk itself: each probe takes its pivot from
+``pivot_index`` and reads it with ``PosSequence.get``, and every call to
+``less`` is counted exactly once. ``pivot_index`` is the only place a
+probe's pivot is chosen.
 
 ``_gap_depths`` is ``gap_depth`` over numpy arrays, with the center
 rules' pivots written out in array form. The sorter uses it
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from bisect import bisect_right
 from collections.abc import Callable
 from functools import lru_cache
 
@@ -110,15 +111,16 @@ def binary_insert(
     equal to ``item``; inserting the item at the returned position keeps
     the chain sorted. ``tally`` grows by the comparisons the strategy's
     pivot walk makes. With the default ``less`` none is made: the gap g
-    comes from ``chain.bisect_right`` and the tally grows by
-    ``gap_depth(hi - lo, g - lo, strategy)``, which is that same count.
+    comes from ``bisect.bisect_right(chain, item, lo, hi)`` and the tally
+    grows by ``gap_depth(hi - lo, g - lo, strategy)``, which is that same
+    count.
     Any other ``less`` is called once per pivot comparison, each probe at
     the pivot ``pivot_index`` picks among the candidates left.
     """
     if not 0 <= lo <= hi <= len(chain):
         raise IndexError(f"invalid range [{lo}, {hi}) for length {len(chain)}")
     if less is operator.lt:
-        pos = chain.bisect_right(item, lo, hi)
+        pos = bisect_right(chain, item, lo, hi)
         tally.count += gap_depth(hi - lo, pos - lo, strategy)
         return pos
     n = hi - lo

@@ -125,6 +125,13 @@ def test_probes_read_chain_blocks(monkeypatch, strategy):
     assert 0 < calls["get"] <= outcome.comparisons
 
 
+def test_get_alone_holds_the_probe_read():
+    # the benchmark wraps every PosSequence attribute holding this function,
+    # so an alias such as __getitem__ = get would count partner reads as probes
+    probe_read = PosSequence.get
+    assert [name for name, value in vars(PosSequence).items() if value is probe_read] == ["get"]
+
+
 def _root_states(n: int) -> set[tuple[int, ...]]:
     """The tree states of the batches exact_F(n) costs, from the halving recurrence."""
     roots = set()

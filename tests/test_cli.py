@@ -191,6 +191,11 @@ BAD_ARGUMENTS = {
     ),
     "count-exhaustive-with-seed": (("count", "--n", "4", "--exhaustive", "--seed", "5"), "it takes no --seed"),
     "count-exhaustive-with-seed-0": (("count", "--n", "4", "--exhaustive", "--seed", "0"), "it takes no --seed"),
+    "count-one-two-factor": (
+        ("count", "--n", "4", "--algorithm", "one-two", "--factor", "1.5"),
+        "algorithm 'one-two' takes no schedule factor, got 3/2",
+    ),
+    "sort-one-two-factor": (("sort", "--algorithm", "one-two", "--factor", "1.03"), "takes no schedule factor"),
     "sort-zero-denominator": (("sort", "--factor", "1/0"), "zero denominator"),
     "count-zero-denominator": (("count", "--n", "4", "--factor", "1/0"), "zero denominator"),
     "compare-zero-denominator": (("compare-algos", "--n", "4", "--factor", "1/0"), "zero denominator"),

@@ -39,6 +39,12 @@ def test_config_validation():
         ExperimentConfig(ns=(9,), exhaustive=True)
     with pytest.raises(ValueError, match="takes no trial count"):
         ExperimentConfig(ns=(4,), exhaustive=True, trials=3)
+    # a string would run its digits as sizes, a float its truncation
+    for ns in ("12", (3.7,), (4.0,), ("4",)):
+        with pytest.raises(TypeError):
+            ExperimentConfig(ns=ns)
+    with pytest.raises(ValueError, match="takes no schedule factor"):
+        ExperimentConfig(ns=(4,), algorithm="one-two", factor=Fraction("1.5"))
 
 
 def test_unknown_algorithm_is_rejected():

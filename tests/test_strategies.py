@@ -113,6 +113,7 @@ def test_binary_insert_trivial_and_errors():
     for less in BOTH_PATHS:
         tally = Tally()
         assert binary_insert(15, chain, 2, 2, Strategy.LEFT, tally, less=less) == 2
+        assert binary_insert(15, PosSequence(), 0, 0, Strategy.LEFT, tally, less=less) == 0
         assert tally.count == 0
 
 
@@ -163,14 +164,19 @@ def test_binary_insert_subrange():
         probed = chain.to_list()
         probed.insert(pos, 9)
         assert probed == sorted(probed)
+    # the items outside [lo, hi) are unsorted and never change the answer
+    chain = PosSequence.from_items([9, 8, 7] + list(range(10, 3000)) + [1, 0])
+    for less in BOTH_PATHS:
+        for item in (-1, 500, 2998, 5000):
+            pos = binary_insert(item, chain, 3, len(chain) - 2, Strategy.CENTER_LEFT, Tally(), less=less)
+            assert pos == min(max(item - 6, 3), len(chain) - 2), (less, item)
 
 
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_subrange_items_outside_range_agree(strategy):
     # items below chain[lo] and above chain[hi - 1] end at lo and hi on
-    # both paths, for the same count, on a chain of several blocks
+    # both paths, for the same count
     chain = PosSequence.from_items(range(0, 6000, 2))
-    assert len(chain._blocks) > 2
     for lo, hi in [(0, 3000), (3, 12), (700, 2300), (1000, 1000), (2999, 3000)]:
         for item in (-1, 2 * lo - 1, 2 * lo, 2 * hi - 2, 2 * hi - 1, 2 * hi + 101, 6001):
             native, walk = Tally(), Tally()
