@@ -1,10 +1,20 @@
+import operator
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mergeinsertion import PosSequence
+from mergeinsertion import PosSequence, Strategy, Tally, binary_insert
+
+
+def walk_less(a, b):
+    """A non-default less: drives the pivot walk instead of the C bisect."""
+    return a < b
+
+
+BOTH_PATHS = (operator.lt, walk_less)
 
 
 def test_empty_base_case():
@@ -79,3 +89,26 @@ def test_trace_equivalence_property(ops):
         seq.insert(pos, value)
         oracle.insert(pos, value)
     assert seq.to_list() == oracle
+
+
+def test_bisect_right_empty():
+    # gap searches on an empty chain: the one gap, and a range past the end
+    for less in BOTH_PATHS:
+        tally = Tally()
+        assert binary_insert(5, PosSequence(), 0, 0, Strategy.LEFT, tally, less=less) == 0
+        assert tally.count == 0
+        with pytest.raises(IndexError, match="invalid range"):
+            binary_insert(5, PosSequence(), 0, 1, Strategy.LEFT, tally, less=less)
+    assert bisect_right(PosSequence(), 5) == 0
+
+
+def test_bisect_right_reads_only_the_range():
+    # the items outside [lo, hi) are unsorted and never change the answer
+    seq = PosSequence.from_items([9, 8, 7] + list(range(10, 3000)) + [1, 0])
+    data = seq.to_list()
+    hi = len(data) - 2
+    for x in (-1, 10, 500, 2998, 5000):
+        expected = bisect_right(data, x, 3, hi)
+        assert bisect_right(seq, x, 3, hi) == expected
+        for less in BOTH_PATHS:
+            assert binary_insert(x, seq, 3, hi, Strategy.CENTER_LEFT, Tally(), less=less) == expected, (less, x)
