@@ -17,13 +17,17 @@ which splits the joint law of (Z, C, W) into three exact parts:
 
 * the lower members fix the law of (C, X), X being the lower members
   below b_i, so R = C + X is b_i's rank below a_i (``_rank_law``, whose
-  laws advance member by member: b_(i+1)'s come from b_i's by one urn
-  step per old element);
+  laws advance member by member: b_(i+1)'s come from b_i's by one Pólya
+  draw of all old elements at once);
 * Z follows the Ỹ law, the integer row ``probability._y_tilde_terms(i,
   e - i)``, and does not depend on (C, X);
 * given Z = z, each higher member lands below b_i with probability
   (rank + 1) / (gaps below a_i), a Pólya urn run one member at a time
   (``_position_law``).
+
+Both urns advance as whole arrays (``_urn_draw``): the laws are the rows
+of one numpy ``object`` array of exact Python ints, and one draw moves
+every row in a single array step, not one interpreted loop per law.
 
 The expected cost of b_i given Z = z does not depend on e, so truncated
 batches share it (``_member_sums``). Everything is integers over common
@@ -48,8 +52,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from operator import mul
+
+import numpy as np
 
 from .probability import _y_tilde_terms
 from .sorter import DEFAULT_SCHEDULE
@@ -132,26 +137,31 @@ def cost_insert(state: InsertionState, strategy: Strategy = Strategy.LEFT) -> Pa
     return PathCount(path, leaves)
 
 
-def _urn_step(law: list[int], below: int, gaps: int) -> list[int]:
-    """One Pólya draw into ``gaps`` gaps, ``below + n`` of them below the
-    tracked element while ``law[n]`` holds; a draw there moves n up by one."""
-    nxt = [0] * (len(law) + 1)
-    for n, v in enumerate(law):
-        b = below + n
-        nxt[n] += v * (gaps - b)
-        nxt[n + 1] += v * b
+def _urn_draw(laws: np.ndarray, gaps: int) -> np.ndarray:
+    """One Pólya draw into ``gaps`` gaps for every row of ``laws`` at once.
+
+    Row r (from 0) tracks one element, with r + 1 + n gaps below it while
+    ``laws[r, n]`` holds; a draw there moves n up by one. The rows are
+    object arrays of exact ints, and the draw widens them by one.
+    """
+    rows, width = laws.shape
+    below = np.add.outer(np.arange(1, rows + 1), np.arange(width))
+    nxt = np.zeros((rows, width + 1), dtype=object)
+    nxt[:, :width] = laws * (gaps - below)
+    nxt[:, 1:] += laws * below
     return nxt
 
 
-# s -> (i, laws, den): laws[c - 1][N] = den * P(N_c = N) for the old
+# s -> (i, laws, den): laws[c - 1, N] = den * P(N_c = N) for the old
 # elements c = 1 .. s + i - 1 of member b_i of a batch starting after s
-_RANK_STATES: dict[int, tuple[int, list[list[int]], int]] = {}
+_RANK_STATES: dict[int, tuple[int, np.ndarray, int]] = {}
 
 
-def _rank_law(s: int, i: int) -> tuple[list[list[int]], int]:
+def _rank_law(s: int, i: int) -> tuple[np.ndarray, int]:
     """Joint law of (C, X) for member b_i of a batch starting after s.
 
-    Returns ``(columns, den)`` with ``columns[x][c] = den * P(C = c, X = x)``.
+    Returns ``(columns, den)``, ``columns`` an object array of exact ints
+    with ``columns[x, c] = den * P(C = c, X = x)``.
     N_c, the lower members below the c-th old element, starts at 0 with c
     gaps below that element; b_j lands below it with probability
     (c + N) / (2j - 1), or surely once a_j is not above it (s + j <= c).
@@ -159,43 +169,51 @@ def _rank_law(s: int, i: int) -> tuple[list[list[int]], int]:
     2i - 1 gaps below a_i gives
     P(C = c, X = x) = [P(N_c <= x) - P(N_(c+1) <= x - 1)] / (2i - 1).
 
-    The laws of N_c advance member by member: from b_j to b_(j+1) each
-    old element takes one ``_urn_step`` with 2j - 1 gaps, and the new old
-    element c = s + j, which every b_(s+1) .. b_j landed below, is a point
-    mass at N = j - s. A state per s keeps the last member's laws and
-    starts again from b_(s+1)'s 2s laws ``[1]`` when asked for an earlier
-    member.
+    The laws of N_c are the rows of one array and advance member by
+    member: from b_j to b_(j+1) the new old element c = s + j = a_j joins
+    as a point mass at N = j - s - 1 (b_(s+1) .. b_(j-1) are below it),
+    and then every row takes one ``_urn_draw`` with 2j - 1 gaps, which
+    moves a_j's row up surely. A state per s keeps the last member's laws
+    and starts again from b_(s+1)'s 2s laws ``[1]`` when asked for an
+    earlier member.
     """
     state = _RANK_STATES.get(s)
     if state is None or state[0] > i:
-        state = (s + 1, [[1]] * (2 * s), 1)
+        state = (s + 1, np.ones((2 * s, 1), dtype=object), 1)
     start, laws, den = state
     for j in range(start, i):
+        new = np.zeros((1, j - s), dtype=object)
+        new[0, -1] = den
         gaps = 2 * j - 1
-        laws = [_urn_step(law, c, gaps) for c, law in enumerate(laws, 1)]
-        laws.append([0] * (j - s) + [den * gaps])
+        laws = _urn_draw(np.vstack((laws, new)), gaps)
         den *= gaps
     _RANK_STATES[s] = (i, laws, den)
-    lower = i - s - 1
-    # cdfs[c][x] = den * P(N_c <= x)
-    cdfs = [[den] * (lower + 1), *(list(accumulate(law)) for law in laws), [0] * lower + [den]]
-    columns = [[cdfs[c][x] - (cdfs[c + 1][x - 1] if x else 0) for c in range(len(laws) + 1)] for x in range(lower + 1)]
-    return columns, (2 * i - 1) * den
+    rows, width = laws.shape
+    # cdfs[c, x] = den * P(N_c <= x)
+    cdfs = np.zeros((rows + 2, width), dtype=object)
+    cdfs[0] = den
+    cdfs[1 : rows + 1] = np.cumsum(laws, axis=1)
+    cdfs[rows + 1, width - 1] = den
+    columns = cdfs[:-1]
+    columns[:, 1:] = cdfs[:-1, 1:] - cdfs[1:, :-1]
+    return columns.T, (2 * i - 1) * den
 
 
 def _urn(s: int, i: int):
     """Yield b_i's gap law among the chain it searches, given Z = 0, 1, ...
 
     Each item is ``(law, den)`` with ``law[pos] = den * P(pos | Z = z)``.
-    The state is the joint law of (pos, X); one more higher member below
-    a_i lands in one of the 2i + z gaps there, below b_i in pos + X + 1
-    of them, which moves pos up by one.
+    The state is the joint law of (X, pos), one array with a row per X;
+    one more higher member below a_i lands in one of the 2i + z gaps
+    there, below b_i in X + 1 + pos of them, which moves pos up by one.
+    So each higher member is one ``_urn_draw`` of the whole state, and the
+    law is the state's column sum.
     """
-    columns, den = _rank_law(s, i)
+    state, den = _rank_law(s, i)
     gaps = 2 * i
     while True:
-        yield tuple(map(sum, zip(*columns))), den
-        columns = [_urn_step(column, x + 1, gaps) for x, column in enumerate(columns)]
+        yield tuple(state.sum(axis=0)), den
+        state = _urn_draw(state, gaps)
         den *= gaps
         gaps += 1
 

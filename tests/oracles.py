@@ -11,7 +11,6 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 
-from mergeinsertion.exact_analysis import _urn_step
 from mergeinsertion.sorter import batch_bound, _prefer_pair
 from mergeinsertion.strategies import Strategy, decision_depths
 
@@ -117,6 +116,17 @@ def initial_segments(s: int, e: int) -> tuple[tuple, ...]:
     return (base,) + ((),) * (e - s - 1)
 
 
+def urn_step(law: list[int], below: int, gaps: int) -> list[int]:
+    """One Pólya draw into ``gaps`` gaps, ``below + n`` of them below the
+    tracked element while ``law[n]`` holds; a draw there moves n up by one."""
+    nxt = [0] * (len(law) + 1)
+    for n, v in enumerate(law):
+        b = below + n
+        nxt[n] += v * (gaps - b)
+        nxt[n + 1] += v * b
+    return nxt
+
+
 def rank_law(s: int, i: int) -> tuple[list[list[int]], int]:
     """``exact_analysis._rank_law(s, i)`` from scratch: each old element's
     N_c law is run through every lower member b_(s+1) .. b_(i-1) anew."""
@@ -132,11 +142,23 @@ def rank_law(s: int, i: int) -> tuple[list[list[int]], int]:
         for j in range(s + 1, i):
             gaps = 2 * j - 1
             # law[N] has c + N gaps below the element
-            law = [0] + [v * gaps for v in law] if s + j <= c else _urn_step(law, c, gaps)
+            law = [0] + [v * gaps for v in law] if s + j <= c else urn_step(law, c, gaps)
         cdfs.append(list(accumulate(law)))
     cdfs.append([0] * lower + [den])
     columns = [[cdfs[c][x] - (cdfs[c + 1][x - 1] if x else 0) for c in range(old + 1)] for x in range(lower + 1)]
     return columns, (2 * i - 1) * den
+
+
+def position_law(s: int, i: int, z: int) -> tuple[tuple[int, ...], int]:
+    """``exact_analysis._position_law(s, i, z)`` from scratch: each column
+    of ``rank_law(s, i)`` (one per X) runs through z higher members; the
+    t-th (t = 1 .. z) lands in one of 2i + t - 1 gaps below a_i, below b_i
+    in pos + X + 1 of them, and the law of pos sums the columns."""
+    columns, den = rank_law(s, i)
+    for gaps in range(2 * i, 2 * i + z):
+        columns = [urn_step(column, x + 1, gaps) for x, column in enumerate(columns)]
+        den *= gaps
+    return tuple(map(sum, zip(*columns))), den
 
 
 def prefer_pair_table(m_max: int) -> list[bool]:

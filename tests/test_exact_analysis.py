@@ -17,11 +17,11 @@ from mergeinsertion import (
     p_X,
 )
 from mergeinsertion.bounds import _t_ins_avg_exact
-from mergeinsertion.exact_analysis import _RANK_STATES, _cost, _position_law, _rank_law
+from mergeinsertion.exact_analysis import _POSITION_LAWS, _RANK_STATES, _cost, _position_law, _rank_law
 from mergeinsertion.probability import _y_tilde_closed
 from mergeinsertion.sorter import DEFAULT_SCHEDULE, batch_bound
 from mergeinsertion.strategies import decision_depths
-from oracles import brute_cost, initial_segments, rank_law
+from oracles import brute_cost, initial_segments, position_law, rank_law
 
 
 def test_leaf_state():
@@ -210,13 +210,37 @@ def test_rank_laws_equal_the_from_scratch_laws():
     # cold run asks for them, then in descending order, where each state
     # has gone past the member and must start again, then from no state
     members = sorted({(s, i) for s, e in _reached_batches(148) for i in range(s + 1, e + 1)})
+
+    def check(s, i):
+        columns, den = _rank_law(s, i)
+        assert (columns.tolist(), den) == rank_law(s, i), (s, i)
+
     for s, i in members:
-        assert _rank_law(s, i) == rank_law(s, i), (s, i)
+        check(s, i)
     for s, i in members[::-1][::7]:
-        assert _rank_law(s, i) == rank_law(s, i), (s, i)
+        check(s, i)
     _RANK_STATES.clear()
     for s, i in members[::7]:
-        assert _rank_law(s, i) == rank_law(s, i), (s, i)
+        check(s, i)
+
+
+def test_position_laws_equal_the_from_scratch_laws():
+    # every law that exact_F reaches up to n = 148, at every z up to its
+    # member's q: from empty caches in the order a cold run asks for them
+    # (batches as n grows, then members, then z), and again in descending
+    # order after both caches are cleared, so every rank state starts again
+    reached = {}
+    for n in range(2, 149):
+        for _k, lo, hi in DEFAULT_SCHEDULE.batches((n + 1) // 2):
+            for i in range(lo, hi + 1):
+                for z in range(hi - i + 1):
+                    reached.setdefault((lo - 1, i, z), None)
+    expected = {(s, i, z): position_law(s, i, z) for s, i, z in reached}
+    for order in (expected, reversed(expected)):
+        _RANK_STATES.clear()
+        _POSITION_LAWS.clear()
+        for s, i, z in order:
+            assert _position_law(s, i, z) == expected[(s, i, z)], (s, i, z)
 
 
 def test_member_laws_are_exact_distributions():
@@ -243,3 +267,9 @@ def test_exact_average_past_the_tree_limit():
         value = exact_F(n)
         assert (value * math.factorial(n)).denominator == 1, n
         assert lower_bound_log_factorial(n) <= float(value) <= numeric_upper_bound_F(n) + 1e-9, n
+
+
+def test_exact_average_past_the_paper_range():
+    # the member sum reaches past the paper's n <= 148
+    for n in range(149, 201):
+        assert lower_bound_log_factorial(n) <= float(exact_F(n)) <= numeric_upper_bound_F(n) + 1e-9, n
