@@ -189,20 +189,21 @@ def cmd_bound(args) -> int:
     return 0
 
 
+# sweep-factor and compare-algos note the seed once the table is built,
+# so a bad argument, which the harness finds first, leaves only its error
 def cmd_sweep_factor(args) -> int:
-    _note_seed(args)
     factors = args.factors.split(",")
     for part in factors:
         _factor(part)  # the labels keep the spelling given, so only check it here
     table = harness.sweep_factor(
         _parse_ns(args), factors, _strategy(args), args.trials, _seed(args)
     )
+    _note_seed(args)
     _emit(table, args)
     return 0
 
 
 def cmd_compare_algos(args) -> int:
-    _note_seed(args)
     table = harness.compare_algorithms(
         _parse_ns(args),
         trials=args.trials,
@@ -210,6 +211,7 @@ def cmd_compare_algos(args) -> int:
         strategy=_strategy(args),
         variant_factor=_factor(args.factor),
     )
+    _note_seed(args)
     _emit(table, args)
     return 0
 

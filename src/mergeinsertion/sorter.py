@@ -45,9 +45,12 @@ Under the default ``less`` every count is a function of ranks, so a sort
 of at least ``_RANK_MIN`` (512) keys builds no chain: the native sort is
 one numpy argsort (``_ranked``: of an int64 or float64 array when every
 key is exactly an ``int`` in int64 range or exactly a ``float``, else of
-the object array), ``_rank_levels`` counts every recursion level of the
-head, down to two keys, with a few array calls and one dominance count
-(``_earlier_below``), and ``_one_two_count`` counts the whole
+the object array), which ranks the keys 0..n-1 in int32 (int64 from 2^31
+keys on). Every level then works on such a dense permutation, the head
+of ``combined_sort`` renumbered once to its own (``_renumbered``).
+``_rank_levels`` counts every recursion level of the head, down to two
+keys, with a few array calls, no sort or search among them, and one
+dominance count (``_earlier_below``), and ``_one_two_count`` counts the whole
 (1,2)-insertion of the rest with one more. Smaller sorts, and any sort
 under a custom ``less``, run the chain sort and ``_insert_one_two``; they
 stay the reference the rank counts are tested against.
@@ -266,29 +269,30 @@ def _merge_insertion_sort(
 _RANK_MIN = 512
 
 
-def _earlier_below(by_value: np.ndarray) -> np.ndarray:
-    """out[t] = #{s < t : values[s] < values[t]} for distinct values, given
-    their order ``by_value`` (the times in ascending value order).
+def _earlier_below(ranks: np.ndarray) -> np.ndarray:
+    """out[t] = #{s < t : ranks[s] < ranks[t]} for ``ranks`` a permutation
+    of 0..w-1 in time order; int32 counts, int64 from w = 2^31 on.
 
     Bottom-up merge ranks: at level L, ``order`` lists the times with each
-    aligned block of 2^L times sorted by value. A key's rank inside its
-    block, less its rank inside its half at level L - 1, counts the keys
-    of the other half below it; only keys of the right half, whose other
-    half is earlier, keep it. Each level's order is a stable argsort of
-    the previous one keyed by (block, value rank), keys that already form
-    two sorted runs per block, so ceil(log2 w) near-linear passes count
-    all w times. Each key's count moves with it from order to order and
-    goes back to time order once, at the end.
+    aligned block of 2^L times sorted by rank. A key's position inside its
+    block, less its position inside its half at level L - 1, counts the
+    keys of the other half below it; only keys of the right half, whose
+    other half is earlier, keep it. Each level's order is a stable argsort
+    of the previous one keyed by (block, rank), keys that already form two
+    sorted runs per block, so ceil(log2 w) near-linear passes count all w
+    times. The merge keys take 2 * ceil(log2 w) bits: uint32 up to
+    w = 2^16, int64 beyond. Each key's count moves with it from order to
+    order and goes back to time order once, at the end.
     """
-    w = len(by_value)
+    w = len(ranks)
+    count = np.zeros(w, dtype=ranks.dtype)
     if w < 2:
-        return np.zeros(w, dtype=np.int64)
+        return count
     bits = (w - 1).bit_length()
-    rank = np.empty(w, dtype=np.int64)
-    rank[by_value] = np.arange(w)
-    order = np.arange(w)
+    key = np.uint32 if 2 * bits <= 32 else np.int64
+    rank = ranks.astype(key)
+    order = np.arange(w, dtype=key)
     position = np.arange(w)
-    count = np.zeros(w, dtype=np.int64)
     for level in range(1, bits + 1):
         step = np.argsort(order >> level << bits | rank, kind="stable")
         order = order[step]
@@ -300,7 +304,7 @@ def _earlier_below(by_value: np.ndarray) -> np.ndarray:
         below += 1 << (level - 1)
         below *= order >> (level - 1) & 1
         count += below
-    out = np.empty(w, dtype=np.int64)
+    out = np.empty_like(count)
     out[order] = count
     return out
 
@@ -308,52 +312,61 @@ def _earlier_below(by_value: np.ndarray) -> np.ndarray:
 def _rank_level(
     ranks: np.ndarray, strategy: Strategy, schedule: Schedule, tally: Tally
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Count one level of the default-less sort of distinct int64 ``ranks``, building no chain.
+    """Count one level of the default-less sort of ``ranks``, a permutation
+    of 0..w-1 (int32, or int64 from w = 2^31 on), building no chain.
 
-    Returns the larger keys, which the next level sorts, and each
-    insertion's batch, search length and count in insertion order.
-    Under native order an insertion's count depends on ranks only: member
-    b_j (partner a_j, inserted in batch order) lands in gap
-    g = #{a_i < b_j} + [b_1 < b_j] + E(b_j) of a search over
+    Returns the ranks of the larger keys among themselves, which the next
+    level sorts, and each insertion's batch, search length and count in
+    insertion order. Under native order an insertion's count depends on
+    ranks only: member b_j (partner a_j, inserted in batch order) lands in
+    gap g = #{a_i < b_j} + [b_1 < b_j] + E(b_j) of a search over
     limit = j + E(a_j) keys, where E(v) counts the b's inserted earlier on
     this level that lie below v; the unpaired leftover's a_j is above all
-    keys. E(b_j) takes one dominance count (``_earlier_below``), E(a_j)
-    none. The lo - 2 b's of the batches before batch [lo, hi] lie below
-    their partners, so below a_j. Inside the batch, inserted from b_hi
-    down, the a's fall as time runs on: member s, with T_s of the batch's
-    a's above it, lies below a_j exactly at the times t with s < t < T_s.
-    As T_s > s, limit = j + lo - 2 + t - #{s : T_s <= t}, and j + t = hi.
+    keys. No sort or search runs: the a's are the set bits of a presence
+    mask, in ascending order, and its cumsum gives both #{a_i < v} and the
+    next level's ranks. What is left of v's rank, v - g, is its rank among
+    the inserted b's, which the dominance count (``_earlier_below``) takes
+    to find E(b_j); E(a_j) needs none. The lo - 2 b's of the batches before
+    batch [lo, hi] lie below their partners, so below a_j. Inside the
+    batch, inserted from b_hi down, the a's fall as time runs on: member s,
+    with T_s of the batch's a's above it, lies below a_j exactly at the
+    times t with s < t < T_s. As T_s > s,
+    limit = j + lo - 2 + t - #{s : T_s <= t}, and j + t = hi.
     """
-    half = len(ranks) // 2
+    w = len(ranks)
+    half = w // 2
     low, high = ranks[:half], ranks[half:2 * half]
     larger = np.maximum(low, high)
-    order = np.argsort(larger)
-    a = larger[order]
-    b = np.minimum(low, high)[order]
-    if len(ranks) % 2:
+    is_a = np.zeros(w, dtype=bool)
+    is_a[larger] = True
+    partner = np.empty_like(ranks)
+    partner[larger] = np.minimum(low, high)
+    b = partner[np.flatnonzero(is_a)]
+    if w % 2:
         b = np.append(b, ranks[-1])
-        a = np.append(a, ranks.max() + 1)
+    # a_below[v] = #{a_i <= v}, which is #{a_i < v} for every b
+    a_below = np.cumsum(is_a, dtype=ranks.dtype)
+    larger = a_below[larger] - 1
+    del partner, is_a
     # one row per batch; a level of two keys has none
-    k, lo, hi = np.array(list(schedule.batches(len(b))), dtype=np.int64).reshape(-1, 3).T
+    k, lo, hi = np.array(list(schedule.batches(len(b))), dtype=ranks.dtype).reshape(-1, 3).T
     size = hi - lo + 1
-    start = np.repeat(np.cumsum(size) - size, size)
+    # batch [lo, hi] starts at time lo - 2, and each member's t + j is lo + hi - 2
+    top = np.repeat(lo + hi - 2, size)
     lo = np.repeat(lo, size)
-    hi = np.repeat(hi, size)
-    values = b[hi - 1 - (np.arange(len(start)) - start)]
-    # below = #{a_i < b_j}; searching in value order runs over twice as fast
-    by_value = np.argsort(values)
-    below = np.empty_like(values)
-    below[by_value] = np.searchsorted(a, values[by_value])
+    values = b[top - 1 - np.arange(len(top), dtype=ranks.dtype)]
+    below = a_below[values]
     gap = below + (values > b[0])
-    del order, a, b, values
-    # T_s = hi - max(below, lo - 1) >= 1, counted at time start + T_s; a
+    del a_below, b
+    values -= gap  # each inserted b's rank among them
+    # T_s = hi - max(below, lo - 1) >= 1, counted at time lo - 2 + T_s; a
     # T_s equal to the batch size lands on the next batch's start, which
     # the difference taken there leaves out
-    reached = np.cumsum(np.bincount(start + hi - np.maximum(below, lo - 1), minlength=len(start) + 1))
-    limit = lo + hi - 2 - (reached[:len(start)] - reached[start])
-    del below, lo, hi, start, reached  # freed before the dominance count, where a level's memory peaks
-    gap += _earlier_below(by_value)
-    del by_value
+    reached = np.cumsum(np.bincount(top - np.maximum(below, lo - 1), minlength=len(top) + 1))
+    limit = top - (reached[:len(top)] - reached[lo - 2])
+    del below, lo, top, reached  # freed before the dominance count, where a level's memory peaks
+    gap += _earlier_below(values)
+    del values
     used = _gap_depths(limit, gap, strategy)
     tally.count += half + int(used.sum())
     return larger, (np.repeat(k, size), limit, used)
@@ -379,7 +392,8 @@ def _typed(data: list) -> np.ndarray | None:
 
 
 def _ranked(data: list) -> tuple[list, np.ndarray]:
-    """``data`` in ascending native order, and each key's int64 rank in it.
+    """``data`` in ascending native order, and each key's rank in it: int32,
+    int64 from 2^31 keys on.
 
     Keys that ``_typed`` converts are argsorted as that array, the rest by
     a stable object argsort; either way the caller's objects come back,
@@ -404,9 +418,17 @@ def _ranked(data: list) -> tuple[list, np.ndarray]:
         del typed
         ordered = keys[order].tolist()
     del keys
-    ranks = np.empty(len(data), dtype=np.int64)
-    ranks[order] = np.arange(len(data))
+    ranks = np.empty(len(data), dtype=np.int32 if len(data) < 1 << 31 else np.int64)
+    ranks[order] = np.arange(len(data), dtype=ranks.dtype)
     return ordered, ranks
+
+
+def _renumbered(ranks: np.ndarray, n: int) -> np.ndarray:
+    """Each of ``ranks``, distinct values in 0..n-1, replaced by its rank
+    among them: one cumsum of a presence mask, no sort."""
+    present = np.zeros(n, dtype=bool)
+    present[ranks] = True
+    return (np.cumsum(present, dtype=ranks.dtype) - 1)[ranks]
 
 
 def _rank_levels(
@@ -416,7 +438,7 @@ def _rank_levels(
     tally: Tally,
     records: list | None,
 ) -> None:
-    """Count the default-less sort of distinct int64 ``ranks`` level by level.
+    """Count the default-less sort of ``ranks``, a permutation of 0..w-1, level by level.
 
     Every level, down to two keys, is one _rank_level pass of array
     calls. The records come out deepest level first, as the chain sort
@@ -476,24 +498,25 @@ def _insert_one_two(
         chain.insert(binary_insert(item, chain, 0, len(chain), strategy, tally, less=less), item)
 
 
-def _one_two_count(prefix: np.ndarray, rest: np.ndarray, strategy: Strategy) -> int:
-    """Comparisons _insert_one_two makes inserting ``rest`` into ``prefix``
-    under native order, both distinct non-negative int64s, ``prefix`` sorted.
+def _one_two_count(n: int, rest: np.ndarray, strategy: Strategy) -> int:
+    """Comparisons _insert_one_two makes inserting the keys of ranks
+    ``rest`` into the n - len(rest) other keys of a permutation of 0..n-1,
+    those already sorted, under native order.
 
     Only the first two keys can go in as a pair, larger key first; then
     every key lands in gap g = #{prefix < v} + E(v), where E(v) counts the
-    keys inserted earlier that lie below v. A single key and the larger of
-    the pair search the whole chain, the smaller the larger's gap.
+    keys inserted earlier that lie below v. #{prefix < v} is v less v's
+    rank among the rest, and E comes from the dominance count over those
+    ranks. A single key and the larger of the pair search the whole chain,
+    the smaller the larger's gap.
     """
-    pair = len(rest) > 1 and _prefer_pair(len(prefix))
+    pair = len(rest) > 1 and _prefer_pair(n - len(rest))
     values = np.concatenate((np.sort(rest[:2])[::-1], rest[2:])) if pair else rest
-    by_value = np.argsort(values)  # the gap search runs over twice as fast in value order
-    gap = np.empty_like(values)
-    gap[by_value] = np.searchsorted(prefix, values[by_value])
-    del values
-    gap += _earlier_below(by_value)
-    del by_value
-    limit = len(prefix) + np.arange(len(rest), dtype=np.int64)
+    own = _renumbered(values, n)
+    gap = values - own
+    gap += _earlier_below(own)
+    del own
+    limit = n - len(rest) + np.arange(len(rest), dtype=rest.dtype)
     if pair:
         limit[1] = gap[0]
     return pair + int(_gap_depths(limit, gap, strategy).sum())
@@ -535,9 +558,11 @@ def _sort(
         _require_distinct(data)  # a custom less is trusted to find the prefix sorted
     if native and len(data) >= _RANK_MIN:
         items, ranks = _ranked(data)
-        _rank_levels(ranks[p:p + h], strategy, schedule, tally, records)
+        head = ranks if h == len(data) else _renumbered(ranks[p:p + h], len(data))
+        _rank_levels(head, strategy, schedule, tally, records)
+        del head
         if p + h < len(data):
-            tally.count += _one_two_count(np.sort(ranks[:p + h]), ranks[p + h:], strategy)
+            tally.count += _one_two_count(len(data), ranks[p + h:], strategy)
         return SortOutcome(items, tally.count, records)
     items = data[:p] + _merge_insertion_sort(data[p:p + h], strategy, schedule, less, tally, records, 0)
     if p + h < len(data):

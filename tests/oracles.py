@@ -225,3 +225,23 @@ def one_two_mean_oracle(prefix_size: int, rest_size: int, strategy: Strategy) ->
         total += one_two_cost_by_values(prefix_vals, rest_vals, strategy)
         count += 1
     return total / count
+
+
+def earlier_below(values: list) -> list[int]:
+    """#{s < t : values[s] < values[t]} for each t, by a Fenwick tree over
+    the values' ranks, filled in time order."""
+    rank = {v: r for r, v in enumerate(sorted(values), 1)}
+    tree = [0] * (len(values) + 1)
+    out = []
+    for v in values:
+        i = rank[v] - 1  # prefix sum over ranks below v's
+        below = 0
+        while i > 0:
+            below += tree[i]
+            i -= i & -i
+        out.append(below)
+        i = rank[v]
+        while i < len(tree):
+            tree[i] += 1
+            i += i & -i
+    return out

@@ -200,6 +200,8 @@ BAD_ARGUMENTS = {
     "count-zero-denominator": (("count", "--n", "4", "--factor", "1/0"), "zero denominator"),
     "compare-zero-denominator": (("compare-algos", "--n", "4", "--factor", "1/0"), "zero denominator"),
     "sweep-zero-denominator": (("sweep-factor", "--n", "4", "--factors", "1,1/0"), "zero denominator"),
+    "compare-factor-above-range": (("compare-algos", "--n", "10", "--factor", "2.5"), "must be in [1, 2), got 5/2"),
+    "sweep-factor-below-range": (("sweep-factor", "--n", "10", "--factors", "1,0.5"), "must be in [1, 2), got 1/2"),
 }
 
 
@@ -208,7 +210,8 @@ def test_bad_arguments_exit_with_named_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "error: " in err and message in err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1  # no seed note: a failed run makes no table
 
 
 def test_bound_limit_is_checked_before_any_table_grows(monkeypatch, capsys):

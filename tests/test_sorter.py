@@ -25,7 +25,7 @@ from mergeinsertion import (
 from mergeinsertion import sorter
 from mergeinsertion.sorter import _RANK_MIN, _earlier_below, _prefer_pair, batch_bound
 from mergeinsertion.strategies import Tally
-from oracles import one_two_cost_by_values, one_two_mean_oracle, prefer_pair_table
+from oracles import earlier_below, one_two_cost_by_values, one_two_mean_oracle, prefer_pair_table
 
 
 def test_batch_bounds():
@@ -408,6 +408,18 @@ def test_rank_levels_equal_comparator_walk(strategy, kind):
             assert all(type(field) is int for record in native.insertions for field in record), (n, schedule)
 
 
+# 2^17 + 1 keys are the first whose top level holds more than 2^16 b's:
+# its 2^16 inserted b's are the widest dominance count on uint32 merge
+# keys, and two keys more take it to int64 keys
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [(1 << 17) + 1, (1 << 17) + 3])
+def test_rank_levels_equal_comparator_walk_at_the_merge_key_boundary(n):
+    keys = random.Random(n).sample(range(1 << 62), n)
+    native = merge_insertion(keys, collect_insertions=True)
+    assert native == merge_insertion(keys, less=walk_less, collect_insertions=True)
+    assert native.items == sorted(keys)
+
+
 @pytest.mark.parametrize("rank_min", [2, 4, 5])
 def test_rank_levels_on_every_small_size(monkeypatch, rank_min):
     # every sort of at least rank_min keys is counted from ranks, down to two keys
@@ -490,9 +502,9 @@ def test_rank_level_limit_equals_brute_force(strategy):
     # every size to 80 truncates some last batch, with and without an odd leftover
     rng = random.Random(f"limits/{strategy.value}")
     for n in [*range(2, 81), 511, 512, 1025, 2049]:
-        ranks = rng.sample(range(3 * n), n)  # distinct but not a permutation, as on deeper levels
+        ranks = rng.sample(range(n), n)  # every level is a permutation of 0..n-1
         for schedule in RANK_SCHEDULES:
-            _, (_, limit, _) = sorter._rank_level(np.array(ranks, dtype=np.int64), strategy, schedule, Tally())
+            _, (_, limit, _) = sorter._rank_level(np.array(ranks, dtype=np.int32), strategy, schedule, Tally())
             assert limit.tolist() == partner_limits(ranks, schedule), (n, schedule)
 
 
@@ -584,18 +596,44 @@ def test_object_ranking_rejects_the_same_keys(pair, monkeypatch):
     assert_every_sorter_rejects(keys)
 
 
+def dense_ranks(values):
+    """Each value's rank among ``values``, as the int32 permutation _earlier_below takes."""
+    ranks = np.empty(len(values), dtype=np.int32)
+    ranks[np.argsort(np.array(values, dtype=np.int64))] = np.arange(len(values))
+    return ranks
+
+
 @pytest.mark.parametrize("w", [0, 1, 2, 3, 7, 8, 9, 100, 1025])
 def test_earlier_below_equals_brute_force(w):
     values = random.Random(w).sample(range(3 * w + 1), w)
     want = [sum(values[s] < values[t] for s in range(t)) for t in range(w)]
-    assert _earlier_below(np.argsort(np.array(values, dtype=np.int64))).tolist() == want
+    assert _earlier_below(dense_ranks(values)).tolist() == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), unique=True, max_size=300))
 def test_earlier_below_property(values):
     want = [sum(v < values[t] for v in values[:t]) for t in range(len(values))]
-    assert _earlier_below(np.argsort(np.array(values, dtype=np.int64))).tolist() == want
+    assert _earlier_below(dense_ranks(values)).tolist() == want
+
+
+def test_earlier_below_equals_fenwick_on_every_small_width():
+    rng = random.Random("earlier-below")
+    for w in range(1026):
+        ranks = rng.sample(range(w), w)
+        out = _earlier_below(np.array(ranks, dtype=np.int32))
+        assert out.dtype == np.int32
+        assert out.tolist() == earlier_below(ranks), w
+
+
+# merge keys take 2 * ceil(log2 w) bits: uint32 up to w = 2^16, wider above
+@pytest.mark.parametrize("w", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_earlier_below_equals_fenwick_at_the_key_width_boundary(w, dtype):
+    ranks = random.Random(w).sample(range(w), w)
+    out = _earlier_below(np.array(ranks, dtype=dtype))
+    assert out.dtype == dtype
+    assert out.tolist() == earlier_below(ranks)
 
 
 def test_rank_levels_build_no_chain(monkeypatch):
