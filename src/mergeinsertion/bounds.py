@@ -5,9 +5,18 @@ insertion-length distributions with the uniform-gap insertion cost
 T_InsAvg(m) = ceil(log m) + 1 - 2^ceil(log m) / m, which bounds the real
 cost from above because landing probabilities never increase from left
 to right and the left strategy puts the short decision paths there.
-Each member's Ỹ row is evaluated in floats from log-factorials. A row is
+Each member's Ỹ row is evaluated in floats from log-factorials, at
+normal-float resolution: an entry whose ln P lies below
+``_LN_TINY`` = ln(2^-1022) ≈ -708.40 is taken as 0.0. exp would make it a
+subnormal, which on x86 costs a microcode assist in exp and again in the
+dot product, ~150 ns an entry against ~1 ns; ~2% of the entries of a
+large bound lie there. A dropped term of a member's dot product is below
+2^-1022 times a weight of at most 20 (for n up to ``BOUND_N_MAX``), while
+the dot product is at least about 1, so the threshold can move a bound
+bit only through an exact rounding tie. It moved none of those checked:
+every n up to 8192, then 2^14, 65536, 100000 and 2^17 to 2^20. A row is
 log-concave, so a bisection from its mode finds the live window outside
-which every entry underflows exp to exactly 0.0. A batch's consecutive
+which every entry is below the threshold, so 0.0. A batch's consecutive
 members go in blocks of about 2^15 entries: each log-factorial term is
 one 2-D pass over the block's union window, read as strided row views of
 one grown-on-demand ln(i!) table and of two reversed copies padded with
@@ -24,6 +33,7 @@ distribution, and the log2(n!) information-theoretic floor.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -35,15 +45,20 @@ from .probability import _check_member, batch_width
 
 LOG2_3 = math.log2(3.0)
 
-# np.exp is exactly 0.0 at and below this (float64 underflows near -745.13),
-# and arguments that underflow take its slow path
-_EXP_ZERO = -750.0
+# ln of the smallest normal float64: Ỹ entries whose ln P lies below this
+# are taken as 0.0 instead of as subnormals, which exp makes on a slow path
+_LN_TINY = math.log(sys.float_info.min)
 # window ends lie where ln P falls below this, which leaves slack for rounding
-_WINDOW_FLOOR = _EXP_ZERO - 10.0
+_WINDOW_FLOOR = _LN_TINY - 10.0
 # most entries one block of Ỹ rows evaluates at once
 _BLOCK = 1 << 15
 _LN2 = math.log(2.0)
 _log_fact = np.zeros(1)
+
+# the numeric upper bound costs ~3x more per doubling of n: 2^17 takes
+# ~1.2-1.7 s and 2^20 ~30 s at ~90 MB (2 vCPU, Python 3.11); past that the
+# ln(i!) table and the run time grow without a useful end
+BOUND_N_MAX = 1 << 20
 
 
 def _log_fact_table(n: int) -> np.ndarray:
@@ -92,14 +107,14 @@ def _strided_rows(table: np.ndarray, start: int, step: int, rows: int, width: in
 
 def _live_windows(t_prev: int, top: int, last: int) -> tuple[np.ndarray, np.ndarray]:
     """[lo, hi) per member b_(t_prev+i), i = 1..last, of the batch ending
-    at b_top: every j with ln P(j) above ``_EXP_ZERO``, so every nonzero
-    entry of the member's Ỹ row, is inside.
+    at b_top: every j with ln P(j) at or above ``_LN_TINY``, so every
+    nonzero entry of the member's Ỹ row, is inside.
 
     The row is log-concave: its term ratio
     r(j) = 2(q-j)(2T+j) / ((2q-j)(j+1)) falls as j grows. So from the mode,
     the root of r(j) = 1, two bisections find where ln P(j) crosses
     ``_WINDOW_FLOOR``, for all members at once. The slack below
-    ``_EXP_ZERO`` absorbs the rounding of either evaluation of ln P."""
+    ``_LN_TINY`` absorbs the rounding of either evaluation of ln P."""
     lf = _log_fact_table(2 * top)
     shift = lf[top - 1] - lf[2 * top - 1]
 
@@ -154,8 +169,9 @@ def _y_tilde_rows(t_prev: int, top: int, last: int):
     varying terms are rows of one ln(i!) table read with a stride, and
     ln (2q-j)! and ln (q-j)! come from reversed copies of it padded with
     -inf and +inf: past a member's q its entries are -inf, and exp makes
-    them 0.0. Only each block's union of live windows is exponentiated;
-    the rest stays 0.0, which exp would give there too."""
+    them 0.0. Entries below ``_LN_TINY`` are 0.0 too, not subnormal. Only
+    each block's union of live windows is exponentiated; the rest stays
+    0.0, as every entry there is below the threshold."""
     Q = top - t_prev
     blocks = _blocks(*_live_windows(t_prev, top, last))
     # every index the strided reads touch in down and up, and in lf past
@@ -180,6 +196,7 @@ def _y_tilde_rows(t_prev: int, top: int, last: int):
         logp += lf[top - 1]
         logp -= lf[t_prev + i0 - 1 : t_prev + i0 + rows - 1, None]
         out = rows_out[: rows * (Q - i0 + 1)].reshape(rows, Q - i0 + 1)
+        logp[logp < _LN_TINY] = -np.inf
         np.exp(logp, out=out[:, a:b])
         yield i0, out
         out[:, a:b] = 0.0
@@ -240,9 +257,12 @@ def _g_hat(m: int) -> float:
 @lru_cache(maxsize=None)
 def numeric_upper_bound_F(n: int) -> float:
     """Upper bound on the exact average comparison count, assembled from
-    per-batch insertion-cost bounds through the halving recurrence."""
+    per-batch insertion-cost bounds through the halving recurrence.
+    Sizes above ``BOUND_N_MAX`` raise ValueError before any work."""
     if n < 1:
         raise ValueError("need at least one element")
+    if n > BOUND_N_MAX:
+        raise ValueError(f"n must be at most {BOUND_N_MAX} for the numeric bound, got {n}")
     if n == 1:
         return 0.0
     return n // 2 + numeric_upper_bound_F(n // 2) + _g_hat((n + 1) // 2)

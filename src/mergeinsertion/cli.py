@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import exact_analysis, harness, probability
+from .bounds import BOUND_N_MAX
 from .harness import ExperimentConfig, Table, emit_tsv
 from .strategies import Strategy
 
@@ -161,12 +162,6 @@ def cmd_dist(args) -> int:
     rows = [[j] + [float(t[j]) for t in tables] for j in support]
     _emit(Table(header, rows), args)
     return 0
-
-
-# the numeric upper bound costs ~3x more per doubling of n: 2^17 takes ~1.6 s
-# and 2^20 up to a minute at ~90 MB (2 vCPU, Python 3.11); past that the
-# ln(i!) table and the run time grow without a useful end
-BOUND_N_MAX = 1 << 20
 
 
 def cmd_bound(args) -> int:

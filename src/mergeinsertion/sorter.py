@@ -290,19 +290,20 @@ def _earlier_below(ranks: np.ndarray) -> np.ndarray:
         return count
     bits = (w - 1).bit_length()
     key = np.uint32 if 2 * bits <= 32 else np.int64
-    rank = ranks.astype(key)
+    rank = ranks.astype(key, copy=False)
     order = np.arange(w, dtype=key)
-    position = np.arange(w)
+    position = np.arange(w, dtype=count.dtype)
     for level in range(1, bits + 1):
         step = np.argsort(order >> level << bits | rank, kind="stable")
         order = order[step]
         rank = rank[step]
         count = count[step]
         # (position - block start) - (step - half start), the half starting
-        # 2^(L-1) into the block; kept by right-half keys only
-        below = position - step
+        # 2^(L-1) into the block; kept by right-half keys only. Every
+        # operand is in the counts' dtype, so no ufunc mixes dtypes
+        below = position - step.astype(count.dtype)
         below += 1 << (level - 1)
-        below *= order >> (level - 1) & 1
+        below *= (order >> (level - 1) & 1).astype(count.dtype)
         count += below
     out = np.empty_like(count)
     out[order] = count

@@ -27,6 +27,7 @@ from mergeinsertion.bounds import (
     _y_tilde_row,
     _y_tilde_rows,
 )
+from mergeinsertion.harness import log_spaced_ns
 from mergeinsertion.probability import distribution_Y
 from mergeinsertion.sorter import batch_bound
 
@@ -89,9 +90,11 @@ def fancy_index_log_row(T, q):
 
 
 def fancy_index_y_tilde_row(T, q):
-    """The float Ỹ row exponentiated whole: the reference for the kernel
-    rows of ``_y_tilde_rows`` and ``_y_tilde_row``."""
-    return np.exp(fancy_index_log_row(T, q))
+    """The float Ỹ row exponentiated whole at normal-float resolution, ln P
+    below ``_LN_TINY`` taken as 0.0: the reference for the kernel rows of
+    ``_y_tilde_rows`` and ``_y_tilde_row``."""
+    logp = fancy_index_log_row(T, q)
+    return np.exp(np.where(logp < bounds._LN_TINY, -np.inf, logp))
 
 
 def batch_tops(k):
@@ -187,6 +190,49 @@ def test_numeric_bound_at_65536_is_pinned():
     # recorded from the kernel that built one row at a time; blocking the
     # rows must not move it by one ulp
     assert numeric_upper_bound_F(65536) == 955877.0331748426
+
+
+def clear_bound_caches():
+    for cached in (numeric_upper_bound_F, bounds._g_hat, _batch_cost_bound):
+        cached.cache_clear()
+
+
+def subnormal_entries(t_prev, top):
+    """How many entries of the kernel rows of a batch are subnormal."""
+    found = 0
+    for _i0, rows in _y_tilde_rows(t_prev, top, top - t_prev):
+        found += int(np.count_nonzero((rows != 0.0) & (rows < np.finfo(np.float64).tiny)))
+    return found
+
+
+def test_normal_float_rows_move_no_bound_bit(monkeypatch):
+    # with no threshold and the old -750/-760 floors the rows keep their
+    # subnormal entries, which the policy flushes to 0.0: every bound the
+    # tests and the `tables` benchmark read has the same bits either way
+    ns = [*range(1, 4097), *log_spaced_ns(64, 32768, 9)]
+    tops = [batch for k in range(2, 14) for batch in batch_tops(k)]
+    monkeypatch.setattr(bounds, "_LN_TINY", -np.inf)
+    monkeypatch.setattr(bounds, "_WINDOW_FLOOR", -760.0)
+    clear_bound_caches()
+    try:
+        unflushed = [numeric_upper_bound_F(n) for n in ns]
+        assert sum(subnormal_entries(*batch) for batch in tops) > 0
+        monkeypatch.undo()
+        clear_bound_caches()
+        assert [numeric_upper_bound_F(n) for n in ns] == unflushed
+        assert [subnormal_entries(*batch) for batch in tops] == [0] * len(tops)
+    finally:
+        clear_bound_caches()
+
+
+def test_numeric_bound_rejects_sizes_past_the_limit_before_any_work(monkeypatch):
+    small = np.zeros(1)
+    monkeypatch.setattr(bounds, "_log_fact", small)
+    misses = bounds._g_hat.cache_info().misses
+    with pytest.raises(ValueError, match=f"at most {bounds.BOUND_N_MAX}"):
+        numeric_upper_bound_F(bounds.BOUND_N_MAX + 1)
+    assert bounds._log_fact is small
+    assert bounds._g_hat.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 11, 13])
