@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import exact_analysis, harness, probability
 from .bounds import BOUND_N_MAX
+from .exact_analysis import EXACT_N_MAX
 from .harness import ExperimentConfig, Table, emit_tsv
 from .strategies import Strategy
 
@@ -100,11 +101,6 @@ def cmd_count(args) -> int:
     )
     _emit(table, args)
     return 0
-
-
-# exact_F's time and memory grow steeply with n: cold, F(1..400) takes
-# 7-7.5 s at ~285 MB (2 vCPU, Python 3.11)
-EXACT_N_MAX = 400
 
 
 def cmd_exact(args) -> int:

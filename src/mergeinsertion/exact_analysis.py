@@ -23,16 +23,19 @@ which splits the joint law of (Z, C, W) into three exact parts:
   e - i)``, and does not depend on (C, X);
 * given Z = z, each higher member lands below b_i with probability
   (rank + 1) / (gaps below a_i), a Pólya urn run one member at a time
-  (``_position_law``).
+  (``_urn``).
 
 Both urns advance as whole arrays (``_urn_draw``): the laws are the rows
 of one numpy ``object`` array of exact Python ints, and one draw moves
 every row in a single array step, not one interpreted loop per law.
 
 The expected cost of b_i given Z = z does not depend on e, so truncated
-batches share it (``_member_sums``). Everything is integers over common
-denominators: one Horner pass over z sums a member, which ends in one
-``Fraction`` per member, and each batch is costed once per strategy.
+batches share it (``_MEMBER_SUMS``). Each member and strategy has its
+own urn, and each law it yields is summed and dropped: no law is kept,
+so cold F(1..400) peaks at ~190 MB, and each further strategy replays
+its own urns. Everything is integers over common denominators: one
+Horner pass over z sums a member, which ends in one ``Fraction`` per
+member, and each batch is costed once per strategy.
 
 The collapsed decision tree stays as ``cost_insert``: the exact path
 length and leaf count of inserting any pending state, which the tests
@@ -58,7 +61,11 @@ import numpy as np
 
 from .probability import _y_tilde_terms
 from .sorter import DEFAULT_SCHEDULE
-from .strategies import Strategy, decision_depths
+from .strategies import Strategy, _not_a_strategy, decision_depths
+
+# exact_F's time and memory grow steeply with n: cold, F(1..400) takes
+# 8-11 s at ~190 MB (2 vCPU, Python 3.11)
+EXACT_N_MAX = 400
 
 
 @dataclass(frozen=True)
@@ -218,33 +225,10 @@ def _urn(s: int, i: int):
         gaps += 1
 
 
-# (s, i) -> (the member's urn, the laws it has yielded so far)
-_POSITION_LAWS: dict[tuple[int, int], tuple] = {}
-
-
-def _position_law(s: int, i: int, z: int) -> tuple[tuple[int, ...], int]:
-    """``_urn(s, i)``'s law at Z = z, advancing the urn only past the laws it has yielded."""
-    entry = _POSITION_LAWS.get((s, i))
-    if entry is None:
-        entry = _POSITION_LAWS[(s, i)] = (_urn(s, i), [])
-    urn, laws = entry
-    while len(laws) <= z:
-        laws.append(next(urn))
-    return laws[z]
-
-
-# (s, i, strategy) -> [den_z * E[decision_depths(s + i - 1 + z)[pos] | Z = z] for z = 0, 1, ...]
-_MEMBER_SUMS: dict[tuple[int, int, Strategy], list[int]] = {}
-
-
-def _member_sums(s: int, i: int, q: int, strategy: Strategy) -> list[int]:
-    """b_i's expected comparisons given Z = z, for z = 0 .. q at least,
-    each an integer over the denominator of ``_position_law(s, i, z)``."""
-    sums = _MEMBER_SUMS.setdefault((s, i, strategy), [])
-    for z in range(len(sums), q + 1):
-        law, _den = _position_law(s, i, z)
-        sums.append(sum(map(mul, law, decision_depths(s + i - 1 + z, strategy))))
-    return sums
+# (s, i, strategy) -> (b_i's own urn, [(den_z, S_z) for z = 0, 1, ...]) with
+# S_z = den_z * E[decision_depths(s + i - 1 + z)[pos] | Z = z]; the urn
+# advances only past the laws summed so far, and keeps none of them
+_MEMBER_SUMS: dict[tuple[int, int, Strategy], tuple] = {}
 
 
 @lru_cache(maxsize=None)
@@ -261,11 +245,13 @@ def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
     Each member's sum over z is one Horner pass in integers: with
     P(Z = z) = N_z / D and urn denominators den_z = den_0 (2i)(2i + 1)
     .. (2i + z - 1), acc <- acc (2i + z - 1) + N_z S_z ends at
-    D den_q times the member's cost, S_z being ``_member_sums``' entry.
+    D den_q times the member's cost, S_z being ``_MEMBER_SUMS``' entry.
 
     ``e == s`` denotes an empty batch and costs 0; ``e < s`` or ``s < 1``
     is a domain error.
     """
+    if not isinstance(strategy, Strategy):
+        raise _not_a_strategy(strategy)
     if s < 1:
         raise ValueError("batch start must be at least 1")
     if e < s:
@@ -274,16 +260,22 @@ def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
     for i in range(s + 1, e + 1):
         q = e - i
         weights, den = _y_tilde_terms(i, q)
+        urn, sums = _MEMBER_SUMS.setdefault((s, i, strategy), (_urn(s, i), []))
+        for z in range(len(sums), q + 1):
+            law, den_z = next(urn)
+            sums.append((den_z, sum(map(mul, law, decision_depths(s + i - 1 + z, strategy)))))
         acc = 0
-        for z, (weight, member_sum) in enumerate(zip(weights, _member_sums(s, i, q, strategy))):
+        for z, (weight, (_den_z, member_sum)) in enumerate(zip(weights, sums)):
             acc = acc * (2 * i + z - 1) + weight * member_sum
-        total += Fraction(acc, den * _position_law(s, i, q)[1])
+        total += Fraction(acc, den * sums[q][0])
     return total
 
 
 @lru_cache(maxsize=None)
 def exact_G(n: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
     """Average comparisons of the whole insertion phase for n small elements."""
+    if not isinstance(strategy, Strategy):
+        raise _not_a_strategy(strategy)
     if n < 1:
         raise ValueError("need at least one element")
     return sum((cost(lo - 1, hi, strategy) for _k, lo, hi in DEFAULT_SCHEDULE.batches(n)), Fraction(0))
@@ -294,10 +286,15 @@ def exact_F(n: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
     """Exact average comparison count over all n! input orders.
 
     F(n) * n! is always an integer: it is the external path length of a
-    decision tree with n! integer-depth leaves.
+    decision tree with n! integer-depth leaves. Sizes above
+    ``EXACT_N_MAX`` raise ValueError before any work.
     """
+    if not isinstance(strategy, Strategy):
+        raise _not_a_strategy(strategy)
     if n < 1:
         raise ValueError("need at least one element")
+    if n > EXACT_N_MAX:
+        raise ValueError(f"n must be at most {EXACT_N_MAX} for the exact average, got {n}")
     if n == 1:
         return Fraction(0)
     return n // 2 + exact_F(n // 2, strategy) + exact_G((n + 1) // 2, strategy)

@@ -209,8 +209,11 @@ def decision_depths(m: int, strategy: Strategy) -> tuple[int, ...]:
     first c gaps are those of the c - 1 candidates below the pivot and the
     rest those of the m - c above it, each one comparison deeper. The
     depths take at most two consecutive values; exactly
-    2^ceil(log2(m+1)) - (m+1) gaps get the shorter one.
+    2^ceil(log2(m+1)) - (m+1) gaps get the shorter one. Anything but a
+    Strategy, its name too, raises.
     """
+    if not isinstance(strategy, Strategy):
+        raise _not_a_strategy(strategy)
     if m < 0:
         raise ValueError("candidate count must be non-negative")
     if m == 0:

@@ -150,10 +150,11 @@ def rank_law(s: int, i: int) -> tuple[list[list[int]], int]:
 
 
 def position_law(s: int, i: int, z: int) -> tuple[tuple[int, ...], int]:
-    """``exact_analysis._position_law(s, i, z)`` from scratch: each column
-    of ``rank_law(s, i)`` (one per X) runs through z higher members; the
-    t-th (t = 1 .. z) lands in one of 2i + t - 1 gaps below a_i, below b_i
-    in pos + X + 1 of them, and the law of pos sums the columns."""
+    """The law ``exact_analysis._urn(s, i)`` yields at Z = z, from scratch:
+    each column of ``rank_law(s, i)`` (one per X) runs through z higher
+    members; the t-th (t = 1 .. z) lands in one of 2i + t - 1 gaps below
+    a_i, below b_i in pos + X + 1 of them, and the law of pos sums the
+    columns."""
     columns, den = rank_law(s, i)
     for gaps in range(2 * i, 2 * i + z):
         columns = [urn_step(column, x + 1, gaps) for x, column in enumerate(columns)]

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -17,7 +18,7 @@ from mergeinsertion import (
     p_X,
 )
 from mergeinsertion.bounds import _t_ins_avg_exact
-from mergeinsertion.exact_analysis import _POSITION_LAWS, _RANK_STATES, _cost, _position_law, _rank_law
+from mergeinsertion.exact_analysis import EXACT_N_MAX, _MEMBER_SUMS, _RANK_STATES, _cost, _rank_law, _urn
 from mergeinsertion.probability import _y_tilde_closed
 from mergeinsertion.sorter import DEFAULT_SCHEDULE, batch_bound
 from mergeinsertion.strategies import decision_depths
@@ -140,11 +141,40 @@ def test_strategy_invariance_small_sizes():
 
 
 def test_strategy_names_are_rejected():
-    # a name must fail, not give another rule's value (RIGHT's F(13) is 32.84613, LEFT's 32.83914)
-    with pytest.raises(ValueError, match="see Strategy.from_name"):
-        exact_F(13, "left")
-    with pytest.raises(ValueError, match="see Strategy.from_name"):
-        cost(3, 5, "center-left")
+    # a name must fail before any work, not give another rule's value
+    # (RIGHT's F(13) is 32.84613, LEFT's 32.83914) nor, where no pivot is
+    # taken, a value cached under the name
+    caches = (exact_F, exact_G, cost, decision_depths)
+
+    def sizes():
+        return [f.cache_info().currsize for f in caches], len(_MEMBER_SUMS), len(_RANK_STATES)
+
+    before = sizes()
+    calls = (
+        (exact_F, 13, "left"),
+        (exact_F, 2, "left"),
+        (exact_F, 1, "bogus"),
+        (exact_G, 1, "left"),
+        (cost, 3, 5, "center-left"),
+        (cost, 1, 1, "left"),
+        (decision_depths, 0, "left"),
+    )
+    for fn, *args in calls:
+        with pytest.raises(ValueError, match="see Strategy.from_name"):
+            fn(*args)
+    assert sizes() == before
+
+
+def test_exact_average_refuses_sizes_above_the_limit():
+    # F(10**5) would run for hours: the size is refused before any work
+    exact_F.cache_clear()
+    _MEMBER_SUMS.clear()
+    _RANK_STATES.clear()
+    for n in (EXACT_N_MAX + 1, 10**5):
+        with pytest.raises(ValueError, match=f"at most {EXACT_N_MAX}"):
+            exact_F(n)
+    assert not _MEMBER_SUMS and not _RANK_STATES
+    assert exact_F.cache_info().currsize == 0
 
 
 def test_left_strategy_never_worse_at_small_sizes():
@@ -182,21 +212,24 @@ def test_member_sum_matches_tree_on_every_reached_batch(strategy, n_max, fresh_t
         assert cost(s, e, strategy) == cost_insert(state, strategy).average, (s, e)
 
 
-def _member_cost(s: int, i: int, z: int, strategy: Strategy) -> Fraction:
-    """Expected comparisons of b_i given Z = z, as one Fraction."""
-    law, den = _position_law(s, i, z)
-    return Fraction(sum(p * d for p, d in zip(law, decision_depths(s + i - 1 + z, strategy))), den)
+def _member_cost(law: tuple[int, ...], den: int, m: int, strategy: Strategy) -> Fraction:
+    """Expected comparisons of a member whose gap among m candidates has
+    law ``law / den``, as one Fraction."""
+    return Fraction(sum(p * d for p, d in zip(law, decision_depths(m, strategy))), den)
 
 
 @pytest.mark.parametrize("strategy", [Strategy.LEFT, Strategy.CENTER_RIGHT], ids=lambda v: v.value)
 def test_cost_equals_closed_form_sum_over_z(strategy):
     # cost sums each member in integers, its Ỹ weights from one term-ratio
-    # row; the reference takes the closed form and one Fraction per (i, z)
-    for e in range(1, 41):
+    # row; the reference takes the closed form, one Fraction per (i, z) and
+    # the laws of one fresh _urn(s, i) per member; e descends, so most
+    # members' cached sums already reach past the z a batch asks for
+    laws = {(s, i): list(islice(_urn(s, i), 41 - i)) for s in range(1, 40) for i in range(s + 1, 41)}
+    for e in range(40, 0, -1):
         for s in range(1, e + 1):
             reference = sum(
                 (
-                    _y_tilde_closed(i, e - i, z) * _member_cost(s, i, z, strategy)
+                    _y_tilde_closed(i, e - i, z) * _member_cost(*laws[s, i][z], s + i - 1 + z, strategy)
                     for i in range(s + 1, e + 1)
                     for z in range(e - i + 1)
                 ),
@@ -226,21 +259,20 @@ def test_rank_laws_equal_the_from_scratch_laws():
 
 def test_position_laws_equal_the_from_scratch_laws():
     # every law that exact_F reaches up to n = 148, at every z up to its
-    # member's q: from empty caches in the order a cold run asks for them
-    # (batches as n grows, then members, then z), and again in descending
-    # order after both caches are cleared, so every rank state starts again
-    reached = {}
+    # member's largest q, from one fresh _urn(s, i) per member: from empty
+    # rank states in the order a cold run first asks for the members
+    # (batches as n grows, then members), and again in descending order
+    # after they are cleared, so every rank state starts again
+    q_max = {}
     for n in range(2, 149):
         for _k, lo, hi in DEFAULT_SCHEDULE.batches((n + 1) // 2):
             for i in range(lo, hi + 1):
-                for z in range(hi - i + 1):
-                    reached.setdefault((lo - 1, i, z), None)
-    expected = {(s, i, z): position_law(s, i, z) for s, i, z in reached}
+                q_max[(lo - 1, i)] = max(q_max.get((lo - 1, i), 0), hi - i)
+    expected = {(s, i): [position_law(s, i, z) for z in range(q + 1)] for (s, i), q in q_max.items()}
     for order in (expected, reversed(expected)):
         _RANK_STATES.clear()
-        _POSITION_LAWS.clear()
-        for s, i, z in order:
-            assert _position_law(s, i, z) == expected[(s, i, z)], (s, i, z)
+        for s, i in order:
+            assert list(islice(_urn(s, i), len(expected[s, i]))) == expected[s, i], (s, i)
 
 
 def test_member_laws_are_exact_distributions():
@@ -250,8 +282,7 @@ def test_member_laws_are_exact_distributions():
         columns, den = _rank_law(s, i)
         assert sum(map(sum, columns)) == den, (s, i)
         assert all(v >= 0 for column in columns for v in column), (s, i)
-        for z in range(3):
-            law, den_z = _position_law(s, i, z)
+        for z, (law, den_z) in enumerate(islice(_urn(s, i), 3)):
             assert sum(law) == den_z and min(law) >= 0, (s, i, z)
         # every reached batch is a prefix of batch k, where C, b_i's gap
         # among the non-batch elements below a_i, follows p_X

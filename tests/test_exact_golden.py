@@ -2,7 +2,8 @@
 
 For each pivot strategy this pins the sha256 of the integers
 F(n) * n! for n = 1..60 and for n = 1..148, the paper's exact range,
-and the exact (path length, leaf count) of the
+the same digest for n = 1..400, the CLI's limit, under ``LEFT`` (a slow
+test), and the exact (path length, leaf count) of the
 collapsed decision tree for a fixed list of insertion states, evaluated
 with a fresh caller-supplied memo. A change to how ``_cost`` keys,
 stores or walks its states must leave every value untouched.
@@ -12,7 +13,10 @@ The table was recorded while ``_cost`` memoized its states under
 packed-integer keys that replaced them and after the return to tuple
 keys. The 1..148 digests were recorded from the member sum that summed
 one ``Fraction`` per (member, z) and rebuilt each member's rank laws
-from scratch, and pin the integer member sums that replaced it.
+from scratch, and pin the integer member sums that replaced it. The
+1..400 digest was recorded while every position law was kept per
+(s, i), and pins the per-strategy urns whose laws are dropped once
+summed.
 ``python tests/test_exact_golden.py`` (with ``src``
 on ``PYTHONPATH``) prints the current values in the same source form,
 for a change that is meant to alter them.
@@ -26,11 +30,12 @@ import random
 
 import pytest
 
-from mergeinsertion import InsertionState, Strategy, cost_insert, exact_F
+from mergeinsertion import InsertionState, Strategy, cost, cost_insert, exact_analysis, exact_F, exact_G
 from mergeinsertion.exact_analysis import _cost
 
 N_MAX = 60
 N_MAX_PAPER = 148
+N_MAX_REACH = 400
 
 STATES = (
     (2,),
@@ -46,14 +51,20 @@ STATES = (
 )
 
 
+def scaled(n: int, strategy: Strategy) -> int:
+    """F(n) * n!, which must be an integer."""
+    value = exact_F(n, strategy) * math.factorial(n)
+    assert value.denominator == 1
+    return value.numerator
+
+
+def digest(values: list[int]) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
 def scaled_digest(strategy: Strategy, n_max: int = N_MAX) -> str:
     """sha256 of [F(n) * n! for n in 1..n_max] under one strategy."""
-    values = []
-    for n in range(1, n_max + 1):
-        scaled = exact_F(n, strategy) * math.factorial(n)
-        assert scaled.denominator == 1
-        values.append(scaled.numerator)
-    return hashlib.sha256(repr(values).encode()).hexdigest()
+    return digest([scaled(n, strategy) for n in range(1, n_max + 1)])
 
 
 EXPECTED_SCALED = {
@@ -69,6 +80,8 @@ EXPECTED_SCALED_PAPER = {
     'left': '93b67b6be41a335d01acbff3cb9571cc7a313cb62e729727f00730db7c58e058',
     'right': '304c8888a4ad78c38cc2189c3ecd269e246a1c24db319d1bfed9e732f7fc1b5c',
 }
+
+EXPECTED_SCALED_REACH_LEFT = 'fefe339fda70f0b85d58d7e9f744a403f997da608e2a2eb1d2d90a69f5209d7d'
 
 EXPECTED_COST = {
     'center-left': {
@@ -132,6 +145,26 @@ def test_scaled_averages_match_golden_over_the_paper_range(strategy):
     assert scaled_digest(strategy, N_MAX_PAPER) == EXPECTED_SCALED_PAPER[strategy.value]
 
 
+def test_interleaved_strategies_match_golden_over_the_paper_range():
+    # n in the outer loop and every strategy in the inner one, from cleared
+    # caches: each strategy's urns and the rank states they share are asked
+    # for in another order than one strategy at a time
+    for cached in (exact_F, exact_G, cost):
+        cached.cache_clear()
+    exact_analysis._MEMBER_SUMS.clear()
+    exact_analysis._RANK_STATES.clear()
+    values = {strategy.value: [] for strategy in Strategy}
+    for n in range(1, N_MAX_PAPER + 1):
+        for strategy in Strategy:
+            values[strategy.value].append(scaled(n, strategy))
+    assert {name: digest(v) for name, v in values.items()} == EXPECTED_SCALED_PAPER
+
+
+@pytest.mark.slow
+def test_scaled_averages_match_golden_up_to_the_cli_limit():
+    assert scaled_digest(Strategy.LEFT, N_MAX_REACH) == EXPECTED_SCALED_REACH_LEFT
+
+
 @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
 def test_state_costs_match_golden(strategy):
     got = {q: _cost(q, strategy) for q in STATES}
@@ -163,6 +196,8 @@ if __name__ == "__main__":
     for strategy in Strategy:
         print(f"    {strategy.value!r}: {scaled_digest(strategy, N_MAX_PAPER)!r},")
     print("}")
+    print()
+    print(f"EXPECTED_SCALED_REACH_LEFT = {scaled_digest(Strategy.LEFT, N_MAX_REACH)!r}")
     print()
     print("EXPECTED_COST = {")
     for strategy in Strategy:
