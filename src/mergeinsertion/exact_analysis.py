@@ -66,6 +66,8 @@ from .strategies import Strategy, _not_a_strategy, decision_depths
 # exact_F's time and memory grow steeply with n: cold, F(1..400) takes
 # 8-11 s at ~190 MB (2 vCPU, Python 3.11)
 EXACT_N_MAX = 400
+# exact_F(n) inserts ceil(n / 2) small elements, so exact_G and cost stop there
+_INSERT_MAX = (EXACT_N_MAX + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -247,8 +249,8 @@ def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
     .. (2i + z - 1), acc <- acc (2i + z - 1) + N_z S_z ends at
     D den_q times the member's cost, S_z being ``_MEMBER_SUMS``' entry.
 
-    ``e == s`` denotes an empty batch and costs 0; ``e < s`` or ``s < 1``
-    is a domain error.
+    ``e == s`` denotes an empty batch and costs 0; ``e < s``, ``s < 1`` or
+    ``e > _INSERT_MAX`` is a domain error, raised before any work.
     """
     if not isinstance(strategy, Strategy):
         raise _not_a_strategy(strategy)
@@ -256,6 +258,8 @@ def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
         raise ValueError("batch start must be at least 1")
     if e < s:
         raise ValueError("batch end must not precede its start")
+    if e > _INSERT_MAX:
+        raise ValueError(f"batch end must be at most {_INSERT_MAX} for the exact average, got {e}")
     total = Fraction(0)
     for i in range(s + 1, e + 1):
         q = e - i
@@ -273,11 +277,14 @@ def cost(s: int, e: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
 
 @lru_cache(maxsize=None)
 def exact_G(n: int, strategy: Strategy = Strategy.LEFT) -> Fraction:
-    """Average comparisons of the whole insertion phase for n small elements."""
+    """Average comparisons of the whole insertion phase for n small elements,
+    n at most ``_INSERT_MAX``; a larger n raises before any work."""
     if not isinstance(strategy, Strategy):
         raise _not_a_strategy(strategy)
     if n < 1:
         raise ValueError("need at least one element")
+    if n > _INSERT_MAX:
+        raise ValueError(f"n must be at most {_INSERT_MAX} for the exact insertion phase, got {n}")
     return sum((cost(lo - 1, hi, strategy) for _k, lo, hi in DEFAULT_SCHEDULE.batches(n)), Fraction(0))
 
 

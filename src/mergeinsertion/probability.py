@@ -15,12 +15,14 @@ down. Everything here is evaluated in exact rational arithmetic:
 
 Factorials overflow machine words almost immediately, so all mass
 functions return ``fractions.Fraction``. The point functions evaluate
-their closed forms; the whole-column tables (``distribution_X``,
-``distribution_Y`` and the integer Ỹ rows behind ``exact_analysis.cost``,
-``_y_tilde_terms``) take one closed-form value and reach every other
-entry by its exact term ratio, a quotient of small integers, so a column
-costs one set of big factorials instead of one per entry. ``Fraction``
-values are canonical, so either way gives the same numbers.
+their closed forms. The whole-column tables are integer counts over one
+denominator (``DistTable``): the Ỹ row ``_y_tilde_terms`` over its odd
+product (2T+1)(2T+3)..(2T+2q-1), which ``distribution_Y``,
+``distribution_Y_tilde`` and ``exact_analysis.cost`` share, and the
+``distribution_X`` column over (2M+1) C(2M, M). Each count is the one
+before it times a quotient of small integers, an exact division, so a
+column takes no per-entry factorial and no gcd; its ``Fraction``s and correctly
+rounded floats are made only when asked for.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby, islice, starmap
-from math import factorial
-from operator import mul
+from itertools import islice
+from math import comb, factorial, prod
 
 from .sorter import batch_bound
 
@@ -112,21 +113,16 @@ def _y_tilde_closed(T: int, q: int, j: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _y_tilde_ratios(T: int, q: int) -> Iterator[tuple[int, int]]:
-    """The Ỹ row's term ratios p(j+1) / p(j) = 2 (2T + j)(q - j) / ((2q - j)(j + 1)),
-    j = 0..q-1, as (numerator, denominator)."""
-    for j in range(q):
-        yield 2 * (2 * T + j) * (q - j), (2 * q - j) * (j + 1)
-
-
 def _y_tilde_terms(T: int, q: int) -> tuple[list[int], int]:
-    """The Ỹ row j = 0..q as integers ``(N, D)``, p(j) = N[j] / D:
-    N[0] = (2q)! (2T-1)! (T+q-1)! / q! and D = (2T+2q-1)! (T-1)!, so that
-    N[0] / D = ``_y_tilde_closed(T, q, 0)``, and each N[j+1] is N[j] times
-    the term ratio, an exact integer division."""
-    first = factorial(2 * q) // factorial(q) * factorial(2 * T - 1) * factorial(T + q - 1)
-    row = list(accumulate(_y_tilde_ratios(T, q), lambda n, ratio: n * ratio[0] // ratio[1], initial=first))
-    return row, factorial(2 * T + 2 * q - 1) * factorial(T - 1)
+    """The Ỹ row j = 0..q as integers ``(N, D)``, p(j) = N[j] / D, over the
+    odd product D = (2T+1)(2T+3)..(2T+2q-1), the denominator of the
+    ``_y_tilde`` recurrence: N[0] = (2q-1)!!, and each N[j+1] is N[j] times
+    the term ratio p(j+1) / p(j) = 2 (2T + j)(q - j) / ((2q - j)(j + 1)),
+    an exact integer division."""
+    row = [prod(range(1, 2 * q, 2))]
+    for j in range(q):
+        row.append(row[j] * (2 * (2 * T + j) * (q - j)) // ((2 * q - j) * (j + 1)))
+    return row, prod(range(2 * T + 1, 2 * T + 2 * q, 2))
 
 
 def p_Y_recurrence(k: int, i: int, q: int, j: int) -> Fraction:
@@ -177,8 +173,8 @@ class DistTable:
     """Exact probability table for one insertion random variable.
 
     ``kind`` is "X", "Y" or "Ytilde" (the latter carries its q);
-    ``mass`` maps support points to their exact probabilities and must
-    sum to exactly 1.
+    ``counts[n] / den`` is the probability of ``support[n]``, and the
+    counts must sum to exactly ``den``.
     """
 
     kind: str
@@ -186,67 +182,59 @@ class DistTable:
     i: int
     q: int | None
     support: range
-    mass: dict
+    counts: tuple[int, ...]
+    den: int
 
     def __post_init__(self) -> None:
-        # exact; a run of equal values (X's flat run, the zeros) is added
-        # once, times its length, since every Fraction addition pays two
-        # big gcds
-        runs = [(v, len(list(group))) for v, group in groupby(self.mass.values())]
-        total = sum((v * count for v, count in runs), _ZERO)
-        if total != 1:
-            raise ValueError(f"{self.kind} table mass sums to {total}, not 1")
-        if any(v < 0 for v, _ in runs):
+        if len(self.counts) != len(self.support):
+            raise ValueError(f"{len(self.counts)} counts for {len(self.support)} support points")
+        total = sum(self.counts)
+        if total != self.den:
+            raise ValueError(f"{self.kind} table mass sums to {Fraction(total, self.den)}, not 1")
+        if any(c < 0 for c in self.counts):
             raise ValueError("negative probability mass")
 
     def __getitem__(self, j: int) -> Fraction:
-        return self.mass.get(j, _ZERO)
+        return Fraction(self.counts[j - self.support.start], self.den) if j in self.support else _ZERO
 
     def mean(self) -> Fraction:
-        total = _ZERO
-        for j, p in self.mass.items():
-            total += j * p
-        return total
+        return Fraction(sum(j * c for j, c in zip(self.support, self.counts)), self.den)
 
     def cdf(self, j0: int) -> Fraction:
-        total = _ZERO
-        for j, p in self.mass.items():
-            if j <= j0:
-                total += p
-        return total
+        return Fraction(sum(self.counts[: max(0, j0 + 1 - self.support.start)]), self.den)
+
+    def floats(self) -> list[float]:
+        """The probabilities in support order, each correctly rounded."""
+        return [c / self.den for c in self.counts]
 
 
 def distribution_X(k: int, i: int) -> DistTable:
-    """The ``p_X`` column of member i: flat up to gap 2 t(k-1), then
-    p(j+1) / p(j) = (2j - 2t + 1) / (2 (j - t + 1)) up to gap 2 t + i - 1,
-    t = t(k-1), and zero above."""
+    """The ``p_X`` column of member i over (2M + 1) C(2M, M), M = t + i - 1,
+    t = t(k-1): gap j has count 4^(M-u) C(2u, u), u = max(j, 2t) - t, up
+    to gap 2t + i - 1, and zero above. So the counts are flat up to gap 2t,
+    then each is the one before times (2u + 1) / (2u + 2)."""
     _check_member(k, i)
     t = batch_bound(k - 1)
-    p = p_X(k, i, 2 * t)
-    mass = dict.fromkeys(range(2 * t + 1), p)
-    for j in range(2 * t, 2 * t + i - 1):
-        p *= Fraction(2 * j - 2 * t + 1, 2 * (j - t + 1))
-        mass[j + 1] = p
-    mass.update(dict.fromkeys(range(2 * t + i, 1 << k), _ZERO))
-    return DistTable("X", k, i, None, range(0, 1 << k), mass)
+    M = t + i - 1
+    counts = [4 ** (i - 1) * comb(2 * t, t)] * (2 * t + 1)
+    for u in range(t, M):
+        counts.append(counts[-1] * (2 * u + 1) // (2 * u + 2))
+    counts += [0] * ((1 << k) - 2 * t - i)
+    return DistTable("X", k, i, None, range(0, 1 << k), tuple(counts), (2 * M + 1) * comb(2 * M, M))
 
 
 def distribution_Y(k: int, i: int) -> DistTable:
     """The ``p_Y`` column of member i: the Ỹ row shifted by 2 t(k-1) + i - 1."""
     _check_member(k, i)
     t = batch_bound(k - 1)
-    support = range(2 * t + i - 1, 1 << k)
-    T, q = t + i, batch_bound(k) - t - i
-    # by the term ratios from the reduced p(0), at two small gcds per
-    # entry; reducing each N[j] / D of ``_y_tilde_terms`` costs a gcd as
-    # long as D, and made ``dist --k 12 --var y`` ten times slower
-    terms = accumulate(starmap(Fraction, _y_tilde_ratios(T, q)), mul, initial=_y_tilde_closed(T, q, 0))
-    mass = dict(zip(support, terms))
-    return DistTable("Y", k, i, None, support, mass)
+    counts, den = _y_tilde_terms(t + i, batch_bound(k) - t - i)
+    return DistTable("Y", k, i, None, range(2 * t + i - 1, 1 << k), tuple(counts), den)
 
 
 def distribution_Y_tilde(k: int, i: int, q: int) -> DistTable:
+    """The ``p_Y_recurrence`` row j = 0..q of member i, from ``_y_tilde_terms``."""
     _check_member(k, i)
-    support = range(0, q + 1)
-    mass = {j: p_Y_recurrence(k, i, q, j) for j in support}
-    return DistTable("Ytilde", k, i, q, support, mass)
+    if q < 0:
+        raise ValueError("q must be non-negative")
+    counts, den = _y_tilde_terms(batch_bound(k - 1) + i, q)
+    return DistTable("Ytilde", k, i, q, range(0, q + 1), tuple(counts), den)

@@ -54,6 +54,18 @@ TABLE_DIGESTS = {
     "compare-algos": "aabb1b805fc4197d8301e171a5eae90a0a2648b9d4baac3c91b141fbcf955561",
 }
 
+# the largest ``dist`` tables (k = DIST_K_MAX), in the ``slow`` tier; recorded
+# from the ``Fraction``-valued columns, before the tables became integer counts
+SLOW_TABLE_CASES = {
+    "dist-y-k14": ("dist", "--k", "14", "--var", "y"),
+    "dist-x-k14": ("dist", "--k", "14", "--var", "x"),
+}
+
+SLOW_TABLE_DIGESTS = {
+    "dist-y-k14": "670677793240e524e54c0a5bed51be5a0f637f43b4ee7bb6aa700eaa265f8bf3",
+    "dist-x-k14": "f9aa969e59fe498d7e91fc3bf0085ed7cb83dc4003f6fcb3b49307951a478f52",
+}
+
 SORT_GOLDEN = {
     "mi": ("f39283ad0b2bb186ccd79535df76471076ac3d00522fe82f2a58c1fe95693e7f", 1253),
     "one-two": ("f39283ad0b2bb186ccd79535df76471076ac3d00522fe82f2a58c1fe95693e7f", 1248),
@@ -78,8 +90,8 @@ def _run(argv, stdin_text: str | None = None) -> tuple[int, bytes, bytes]:
     return code, out.getvalue(), err.getvalue().encode()
 
 
-def table_digest(case: str) -> str:
-    code, out, _err = _run(TABLE_CASES[case])
+def table_digest(argv) -> str:
+    code, out, _err = _run(argv)
     assert code == 0
     return hashlib.sha256(out).hexdigest()
 
@@ -96,7 +108,13 @@ def sort_golden(algorithm: str) -> tuple[str, int]:
 
 @pytest.mark.parametrize("case", TABLE_CASES)
 def test_table_bytes_unchanged(case):
-    assert table_digest(case) == TABLE_DIGESTS[case]
+    assert table_digest(TABLE_CASES[case]) == TABLE_DIGESTS[case]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", SLOW_TABLE_CASES)
+def test_largest_dist_tables_unchanged(case):
+    assert table_digest(SLOW_TABLE_CASES[case]) == SLOW_TABLE_DIGESTS[case]
 
 
 @pytest.mark.parametrize("algorithm", SORT_GOLDEN)
@@ -107,7 +125,12 @@ def test_sort_output_and_count_unchanged(algorithm):
 if __name__ == "__main__":
     print("TABLE_DIGESTS = {")
     for case in TABLE_CASES:
-        print(f'    "{case}": "{table_digest(case)}",')
+        print(f'    "{case}": "{table_digest(TABLE_CASES[case])}",')
+    print("}")
+    print()
+    print("SLOW_TABLE_DIGESTS = {")
+    for case in SLOW_TABLE_CASES:
+        print(f'    "{case}": "{table_digest(SLOW_TABLE_CASES[case])}",')
     print("}")
     print()
     print("SORT_GOLDEN = {")

@@ -177,6 +177,23 @@ def test_exact_average_refuses_sizes_above_the_limit():
     assert exact_F.cache_info().currsize == 0
 
 
+def test_insertion_phase_refuses_sizes_above_the_limit():
+    # exact_F(EXACT_N_MAX) inserts at most (EXACT_N_MAX + 1) // 2 small
+    # elements; exact_G and cost refuse more before any work
+    exact_G.cache_clear()
+    cost.cache_clear()
+    _MEMBER_SUMS.clear()
+    _RANK_STATES.clear()
+    limit = (EXACT_N_MAX + 1) // 2
+    calls = ((exact_G, limit + 1), (exact_G, 10**5), (cost, 1, limit + 1), (cost, limit, 10**5))
+    for fn, *args in calls:
+        with pytest.raises(ValueError, match=f"at most {limit}"):
+            fn(*args)
+    assert not _MEMBER_SUMS and not _RANK_STATES
+    assert exact_G.cache_info().currsize == 0 and cost.cache_info().currsize == 0
+    assert cost(limit - 1, limit) > 0  # the limit itself is allowed
+
+
 def test_left_strategy_never_worse_at_small_sizes():
     for n in range(2, 16):
         left = exact_F(n, Strategy.LEFT)

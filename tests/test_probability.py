@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -6,6 +7,7 @@ from mergeinsertion import batch_bound, batch_width, mean_Y, p_X, p_Y, p_Y_recur
 from mergeinsertion.probability import (
     _y_tilde,
     _y_tilde_closed,
+    _y_tilde_terms,
     distribution_X,
     distribution_Y,
     distribution_Y_tilde,
@@ -157,15 +159,42 @@ def test_dist_table_constructors():
     assert helper.q == 3
     assert helper.mean() == sum(j * helper[j] for j in range(4))
     assert helper[99] == 0
+    with pytest.raises(ValueError, match="non-negative"):
+        distribution_Y_tilde(4, 2, -1)
 
 
 def test_term_ratio_columns_equal_point_closed_forms():
     for k in range(2, 10):
         for i in range(1, batch_width(k) + 1):
             x, y = distribution_X(k, i), distribution_Y(k, i)
-            assert set(x.mass) == set(range(1 << k)) and set(y.mass) == set(y.support), (k, i)
+            assert x.support == range(1 << k) and len(x.counts) == 1 << k and len(y.counts) == len(y.support), (k, i)
             assert all(x[j] == p_X(k, i, j) for j in range(1 << k)), (k, i)
             assert all(y[j] == p_Y(k, i, j) for j in range(1 << k)), (k, i)
+
+
+def test_y_tilde_terms_over_the_odd_product():
+    # ``cost`` reads the row at T = i and any q, not only at batch shapes
+    for T in range(1, 61):
+        for q in range(0, 61):
+            counts, den = _y_tilde_terms(T, q)
+            assert den == prod(2 * T + 2 * level - 1 for level in range(1, q + 1)), (T, q)
+            assert sum(counts) == den and len(counts) == q + 1, (T, q)
+            recurrence = _y_tilde(T, q)
+            for j, count in enumerate(counts):
+                assert Fraction(count, den) == _y_tilde_closed(T, q, j) == recurrence[j], (T, q, j)
+
+
+def test_floats_are_the_rounded_fractions():
+    # c / den rounds once, like float(Fraction), so the TSV bytes cannot move
+    def same(table):
+        return [x.hex() for x in table.floats()] == [float(table[j]).hex() for j in table.support]
+
+    for k in range(2, 9):
+        for i in range(1, batch_width(k) + 1):
+            assert same(distribution_X(k, i)) and same(distribution_Y(k, i)), (k, i)
+    width = batch_width(12)
+    for i in (1, width // 2, width):
+        assert same(distribution_X(12, i)) and same(distribution_Y(12, i)), i
 
 
 def test_dist_tables_reject_bad_member():
@@ -182,25 +211,24 @@ def test_dist_table_rejects_bad_mass():
     from mergeinsertion.probability import DistTable
 
     with pytest.raises(ValueError):
-        DistTable("Y", 4, 1, None, range(2), {0: Fraction(1, 2), 1: Fraction(1, 3)})
+        DistTable("Y", 4, 1, None, range(2), (3, 2), 6)  # 1/2 + 1/3
     with pytest.raises(ValueError, match="negative"):
-        DistTable("Y", 4, 1, None, range(3), {0: Fraction(1, 2), 1: Fraction(-1, 2), 2: Fraction(1)})
+        DistTable("Y", 4, 1, None, range(3), (1, -1, 2), 2)  # 1/2 - 1/2 + 1
+    with pytest.raises(ValueError, match="3 counts for 2 support points"):
+        DistTable("Y", 4, 1, None, range(2), (1, 0, 0), 1)
 
 
 @pytest.mark.parametrize("build", [distribution_X, distribution_Y], ids=["X", "Y"])
 def test_dist_table_rejects_mass_off_by_one_part_in_the_denominator(build):
     # the sum check is exact: moving 1/den of mass onto one entry of a real
-    # column (den = the common denominator of the column) is caught
-    from math import lcm
-
+    # column (one count up or down by 1 over the column's denominator) is caught
     from mergeinsertion.probability import DistTable
 
     table = build(9, 20)
-    den = lcm(*(p.denominator for p in table.mass.values()))
-    for j in (min(table.support), max(table.support)):
-        for delta in (Fraction(1, den), -Fraction(1, den)):
-            mass = dict(table.mass)
-            mass[j] += delta
+    for index in (0, len(table.support) - 1):
+        for delta in (1, -1):
+            counts = list(table.counts)
+            counts[index] += delta
             with pytest.raises(ValueError, match="sums to"):
-                DistTable(table.kind, table.k, table.i, None, table.support, mass)
-    assert DistTable(table.kind, table.k, table.i, None, table.support, dict(table.mass)) == table
+                DistTable(table.kind, table.k, table.i, None, table.support, tuple(counts), table.den)
+    assert DistTable(table.kind, table.k, table.i, None, table.support, tuple(table.counts), table.den) == table
