@@ -56,8 +56,9 @@ _LN2 = math.log(2.0)
 _log_fact = np.zeros(1)
 
 # the numeric upper bound costs ~3x more per doubling of n: 2^17 takes
-# ~1.2-1.7 s and 2^20 ~30 s at ~90 MB (2 vCPU, Python 3.11); past that the
-# ln(i!) table and the run time grow without a useful end
+# ~1.1-1.6 s and 2^20 ~35-44 s at ~89 MB (cold, one BLAS thread, 2 vCPU,
+# Python 3.11); past that the ln(i!) table and the run time grow without a
+# useful end
 BOUND_N_MAX = 1 << 20
 
 

@@ -51,14 +51,20 @@ of ``combined_sort`` renumbered once to its own (``_renumbered``).
 ``_rank_levels`` counts every recursion level of the head, down to two
 keys, with a few array calls, no sort or search among them, and one
 dominance count (``_earlier_below``), and ``_one_two_count`` counts the whole
-(1,2)-insertion of the rest with one more. Smaller sorts, and any sort
-under a custom ``less``, run the chain sort and ``_insert_one_two``; they
-stay the reference the rank counts are tested against.
+(1,2)-insertion of the rest with one more. From ``_OVERLAP_MIN`` (24576)
+head keys on, level 0's dominance count runs on a worker thread beside
+the deeper levels, but only when the process's CPU affinity mask holds
+a second CPU; the counts, records and sorted items are the same either
+way. Smaller sorts, and any sort under a custom ``less``, run the chain
+sort and ``_insert_one_two``; they stay the reference the rank counts
+are tested against.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -311,16 +317,19 @@ def _earlier_below(ranks: np.ndarray) -> np.ndarray:
 
 
 def _rank_level(
-    ranks: np.ndarray, strategy: Strategy, schedule: Schedule, tally: Tally
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Count one level of the default-less sort of ``ranks``, a permutation
-    of 0..w-1 (int32, or int64 from w = 2^31 on), building no chain.
+    ranks: np.ndarray, schedule: Schedule, tally: Tally
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lay out one level of the default-less sort of ``ranks``, a permutation
+    of 0..w-1 (int32, or int64 from w = 2^31 on), building no chain, and
+    add its pairing comparisons to ``tally``.
 
     Returns the ranks of the larger keys among themselves, which the next
-    level sorts, and each insertion's batch, search length and count in
-    insertion order. Under native order an insertion's count depends on
-    ranks only: member b_j (partner a_j, inserted in batch order) lands in
-    gap g = #{a_i < b_j} + [b_1 < b_j] + E(b_j) of a search over
+    level sorts, each insertion's batch and search length in insertion
+    order, and the two arrays ``_level_depths`` counts the insertions from:
+    each inserted b's rank among them and its gap short of E(b_j).
+
+    Under native order an insertion's count depends on ranks only:
+    member b_j (partner a_j, inserted in batch order) lands in gap g = #{a_i < b_j} + [b_1 < b_j] + E(b_j) of a search over
     limit = j + E(a_j) keys, where E(v) counts the b's inserted earlier on
     this level that lie below v; the unpaired leftover's a_j is above all
     keys. No sort or search runs: the a's are the set bits of a presence
@@ -365,12 +374,16 @@ def _rank_level(
     # the difference taken there leaves out
     reached = np.cumsum(np.bincount(top - np.maximum(below, lo - 1), minlength=len(top) + 1))
     limit = top - (reached[:len(top)] - reached[lo - 2])
-    del below, lo, top, reached  # freed before the dominance count, where a level's memory peaks
+    tally.count += half
+    return larger, np.repeat(k, size), limit, values, gap
+
+
+def _level_depths(values: np.ndarray, gap: np.ndarray, limit: np.ndarray, strategy: Strategy) -> np.ndarray:
+    """Each insertion's comparisons on one level laid out by ``_rank_level``:
+    the dominance count over ``values`` adds E(b_j) to ``gap`` (in place),
+    then the gap's depth in a search over ``limit`` keys."""
     gap += _earlier_below(values)
-    del values
-    used = _gap_depths(limit, gap, strategy)
-    tally.count += half + int(used.sum())
-    return larger, (np.repeat(k, size), limit, used)
+    return _gap_depths(limit, gap, strategy)
 
 
 def _typed(data: list) -> np.ndarray | None:
@@ -432,6 +445,58 @@ def _renumbered(ranks: np.ndarray, n: int) -> np.ndarray:
     return (np.cumsum(present, dtype=ranks.dtype) - 1)[ranks]
 
 
+# Fewest head keys whose level-0 count runs on a worker thread. Timing
+# whole default-less sorts of n random 62-bit keys with the worker against
+# without, interleaved in-process pairs (2 vCPU, Python 3.11, numpy 2.4):
+# the worker lost at n = 8192 and 12288 (+24% and +15%, 2 and 6 of 41
+# pairs), won 9 to 49 of 41 to 81 pairs from 14336 to 22528 (-9% to
+# +16%), 35 to 65 of 61 to 81 at 24576 (-1% to -7%), and from 28672 on
+# 45 of 61 up to 81 of 81 (-5% to -25%; -21% to -25% at 2^17 and 2^18).
+_OVERLAP_MIN = 24576
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _LevelCount:
+    """``_level_depths(*args)`` on a worker thread, started at once, or on
+    the caller's thread when none can start (RuntimeError). It touches no
+    tally or records; ``result`` waits for it and returns its depths or
+    raises what the count raised."""
+
+    def __init__(self, *args) -> None:
+        self._args = args
+        self._outcome = None
+        self._thread = threading.Thread(target=self._run, name="merge-insertion level 0")
+        try:
+            self._thread.start()
+        except RuntimeError:  # no thread to be had: count here
+            self._thread = None
+            self._run()
+
+    def _run(self) -> None:
+        try:
+            self._outcome = _level_depths(*self._args)
+        except BaseException as error:  # raised again in the caller by result()
+            self._outcome = error
+        self._args = None
+
+    def wait(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+
+    def result(self) -> np.ndarray:
+        self.wait()
+        if isinstance(self._outcome, BaseException):
+            raise self._outcome
+        return self._outcome
+
+
 def _rank_levels(
     ranks: np.ndarray,
     strategy: Strategy,
@@ -441,17 +506,42 @@ def _rank_levels(
 ) -> None:
     """Count the default-less sort of ``ranks``, a permutation of 0..w-1, level by level.
 
-    Every level, down to two keys, is one _rank_level pass of array
-    calls. The records come out deepest level first, as the chain sort
-    appends them.
+    Every level, down to two keys, is one _rank_level pass of array calls
+    and one _level_depths count. From ``_OVERLAP_MIN`` keys on, when the
+    process may run on a second CPU, level 0's count runs on a worker
+    thread (``_LevelCount``) while this one lays out and counts the deeper
+    levels; each level's count reads only arrays its layout has finished.
+    The depths are added and recorded here after the join, so the count
+    and the records are the same either way. The records come out deepest
+    level first, as the chain sort appends them.
     """
     kept = []  # (depth, batch, limit, used) per level, when collecting
+    top = None  # level 0's count, when it runs on the worker
     depth = 0
-    while len(ranks) > 1:
-        ranks, level = _rank_level(ranks, strategy, schedule, tally)
+    if len(ranks) >= _OVERLAP_MIN and _usable_cpus() > 1:
+        ranks, batch, limit, values, gap = _rank_level(ranks, schedule, tally)
+        top = _LevelCount(values, gap, limit, strategy)
+        del values, gap
         if records is not None:
-            kept.append((depth, *level))
+            kept.append((depth, batch, limit, None))
         depth += 1
+    try:
+        while len(ranks) > 1:
+            ranks, batch, limit, values, gap = _rank_level(ranks, schedule, tally)
+            used = _level_depths(values, gap, limit, strategy)
+            del values, gap
+            tally.count += int(used.sum())
+            if records is not None:
+                kept.append((depth, batch, limit, used))
+            depth += 1
+    finally:
+        if top is not None:
+            top.wait()
+    if top is not None:
+        used = top.result()
+        tally.count += int(used.sum())
+        if records is not None:
+            kept[0] = (*kept[0][:3], used)
     if records is not None:
         for depth, batch, limit, used in reversed(kept):
             records.extend(zip(repeat(depth), batch.tolist(), limit.tolist(), used.tolist()))

@@ -1,7 +1,9 @@
 import enum
 import math
 import operator
+import os
 import random
+import threading
 from fractions import Fraction
 from itertools import permutations
 
@@ -420,6 +422,118 @@ def test_rank_levels_equal_comparator_walk_at_the_merge_key_boundary(n):
     assert native.items == sorted(keys)
 
 
+def thread_starts(monkeypatch):
+    """Names of the threads started from here on; each one still starts."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def sort_with_cpus(monkeypatch, cpus, sort, keys, *args, **kwargs):
+    monkeypatch.setattr(sorter, "_usable_cpus", lambda: cpus)
+    return sort(keys, *args, **kwargs)
+
+
+def assert_same_sort(one, other):
+    assert one == other
+    assert all(x is y for x, y in zip(one.items, other.items))
+
+
+# the worker counts level 0 from _OVERLAP_MIN head keys on; combined_sort's
+# head of 21845 keys is moved across the threshold by moving the threshold
+@pytest.mark.parametrize("d", [-1, 0, 1])
+@pytest.mark.parametrize("factor", ["1", "1.03"])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+@pytest.mark.parametrize("sort", [merge_insertion, combined_sort], ids=lambda f: f.__name__)
+def test_level_count_worker_changes_nothing(monkeypatch, sort, strategy, factor, d):
+    if sort is merge_insertion:
+        n, head, kwargs = sorter._OVERLAP_MIN + d, sorter._OVERLAP_MIN + d, {"collect_insertions": True}
+    else:
+        n, head, kwargs = 30000, combined_prefix_size(30000), {}
+        monkeypatch.setattr(sorter, "_OVERLAP_MIN", head - d)
+    keys = random.Random(f"overlap/{d}").sample(range(1 << 62), n)
+    schedule = Schedule(Fraction(factor))
+    serial = sort_with_cpus(monkeypatch, 1, sort, keys, strategy, schedule, **kwargs)
+    started = thread_starts(monkeypatch)
+    overlapped = sort_with_cpus(monkeypatch, 2, sort, keys, strategy, schedule, **kwargs)
+    assert len(started) == (head >= sorter._OVERLAP_MIN) == (d >= 0)
+    assert_same_sort(overlapped, serial)
+    assert overlapped.items == sorted(keys)
+
+
+@pytest.mark.slow
+def test_level_count_worker_changes_nothing_at_the_merge_key_boundary(monkeypatch):
+    keys = random.Random(17).sample(range(1 << 62), (1 << 17) + 1)
+    serial = sort_with_cpus(monkeypatch, 1, merge_insertion, keys, collect_insertions=True)
+    started = thread_starts(monkeypatch)
+    assert_same_sort(sort_with_cpus(monkeypatch, 2, merge_insertion, keys, collect_insertions=True), serial)
+    assert len(started) == 1
+
+
+def test_level_count_worker_raises_in_the_caller(monkeypatch):
+    class Boom(Exception):
+        pass
+
+    real_earlier_below = sorter._earlier_below
+
+    def failing(ranks):
+        if threading.current_thread() is not threading.main_thread():
+            raise Boom(len(ranks))
+        return real_earlier_below(ranks)
+
+    monkeypatch.setattr(sorter, "_earlier_below", failing)
+    keys = random.Random(3).sample(range(1 << 40), sorter._OVERLAP_MIN)
+    threads = threading.active_count()
+    with pytest.raises(Boom) as raised:
+        sort_with_cpus(monkeypatch, 2, merge_insertion, keys)
+    assert raised.value.args == ((len(keys) + 1) // 2 - 1,)  # level 0 inserts every b but b_1
+    assert threading.active_count() == threads
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    keys = random.Random(4).sample(range(1 << 40), sorter._OVERLAP_MIN)
+    started = thread_starts(monkeypatch)
+    serial = sort_with_cpus(monkeypatch, 1, merge_insertion, keys, collect_insertions=True)
+    assert started == []
+    monkeypatch.undo()
+    # the process's own affinity mask decides, e.g. under ``taskset -c 0``
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert sorter._usable_cpus() == cpus
+    started = thread_starts(monkeypatch)
+    assert_same_sort(merge_insertion(keys, collect_insertions=True), serial)
+    assert len(started) == (cpus > 1)
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert sorter._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sorter._usable_cpus() == 1
+
+
+def test_level_count_counts_here_when_no_thread_starts(monkeypatch):
+    tried = []
+
+    def no_thread(thread):
+        tried.append(thread.name)
+        raise RuntimeError("can't start new thread")
+
+    keys = random.Random(5).sample(range(1 << 40), sorter._OVERLAP_MIN + 1)
+    serial = sort_with_cpus(monkeypatch, 1, merge_insertion, keys, collect_insertions=True)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    threads = threading.active_count()
+    assert_same_sort(sort_with_cpus(monkeypatch, 2, merge_insertion, keys, collect_insertions=True), serial)
+    assert len(tried) == 1
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("rank_min", [2, 4, 5])
 def test_rank_levels_on_every_small_size(monkeypatch, rank_min):
     # every sort of at least rank_min keys is counted from ranks, down to two keys
@@ -504,7 +618,7 @@ def test_rank_level_limit_equals_brute_force(strategy):
     for n in [*range(2, 81), 511, 512, 1025, 2049]:
         ranks = rng.sample(range(n), n)  # every level is a permutation of 0..n-1
         for schedule in RANK_SCHEDULES:
-            _, (_, limit, _) = sorter._rank_level(np.array(ranks, dtype=np.int32), strategy, schedule, Tally())
+            _, _, limit, _, _ = sorter._rank_level(np.array(ranks, dtype=np.int32), schedule, Tally())
             assert limit.tolist() == partner_limits(ranks, schedule), (n, schedule)
 
 
